@@ -1,11 +1,12 @@
 """Detector throughput microbenchmarks.
 
 Not a paper claim — engineering due diligence: the vector-strobe
-detector's race analysis is the hot path of every experiment, and its
-concurrency matrix is O(m²·n) per finalize.  These benches pin the
-constant factors so regressions are visible, and the m-scaling bench
-documents where offline replay stops being practical (the online
-watermark detector amortizes the same work incrementally).
+detector's race analysis is the hot path of every experiment.  Its race
+kernel costs O(m·C·log m) plus the race-set size per finalize (C monotone
+chains, about one per process and clock epoch), so finalize scales near
+linearly in m.  These benches pin the constant factors so regressions are
+visible, and the m=20000 row (gated against m=1000 in
+``check_regression.GAP_RULES``) keeps that scaling visible.
 """
 
 import pytest
@@ -68,11 +69,14 @@ def test_physical_finalize_throughput(benchmark, m):
 
 
 def test_concurrency_matrix_scaling(benchmark):
-    """The O(m²·n) kernel in isolation at m=2000 (vectorized NumPy)."""
-    records = synth_records(2000)
+    """The chain-range race kernel in isolation at m=2000, on the
+    stamps and chain ids finalize hands it."""
+    from repro.clocks.vector import chain_concurrency_csr
+
     det = VectorStrobeDetector(predicate(), {f"v{i}": 0 for i in range(4)})
-    ordered = sorted(records, key=det._sort_key)
-    benchmark(det._concurrency_matrix, ordered)
+    det.feed_many(synth_records(2000))
+    _, vecs, chains = det._linearize(det.store.all())
+    benchmark(chain_concurrency_csr, vecs, chains)
 
 
 def test_emit_bench_json(save_bench_json):
@@ -90,7 +94,7 @@ def test_emit_bench_json(save_bench_json):
     }
     tracer = SpanTracer()
     rows = []
-    for m in (200, 1000, 5000):
+    for m in (200, 1000, 5000, 20000):
         records = synth_records(m)
         for name, cls in detectors.items():
             det = cls(phi, initials)
@@ -114,16 +118,12 @@ def test_emit_bench_json(save_bench_json):
 def test_emit_phase_breakdown_json(save_bench_json):
     """Per-phase latency attribution, exported as
     ``BENCH_detector_phases.json``: where a vector-strobe finalize
-    spends its time (``compare`` = batch dominance + concurrency-CSR
-    kernels vs ``race_eval`` = linearized replay + race analysis), how
+    spends its time (``compare`` = linearization + chain-range race
+    kernel vs ``race_eval`` = linearized replay + race analysis), how
     the online detector's incremental ``flush`` amortizes the same work,
     and the incremental vs rebuild cost of the windowed lattice front.
     """
-    import numpy as np
-
-    from repro.clocks.vector import (
-        concurrency_csr, dominates_matrix, stack_timestamps,
-    )
+    from repro.clocks.vector import chain_concurrency_csr
     from repro.detect.lattice_detector import LatticeDetector
     from repro.detect.online import OnlineVectorStrobeDetector
     from repro.obs import SpanTracer
@@ -147,10 +147,8 @@ def test_emit_phase_breakdown_json(save_bench_json):
         det = VectorStrobeDetector(phi, initials)
         det.feed_many(records)
         with tracer.span("compare", m=m) as span:
-            vecs = stack_timestamps([r.strobe_vector for r in records])
-            order = np.argsort(vecs.sum(axis=1), kind="stable")
-            leq = dominates_matrix((), vecs=vecs[order])
-            concurrency_csr(leq)
+            _, vecs, chains = det._linearize(det.store.all())
+            chain_concurrency_csr(vecs, chains)
         compare_s = span.wall_s
         row("vector_strobe", m, "compare", compare_s)
         with tracer.span("finalize", m=m) as span:

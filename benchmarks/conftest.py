@@ -16,6 +16,9 @@ import pathlib
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+#: Where benches write fresh ``BENCH_*.json`` documents (gitignored);
+#: the committed baselines beside it change only by copying from here.
+FRESH_DIR = RESULTS_DIR / "fresh"
 
 
 @pytest.fixture
@@ -34,14 +37,15 @@ def save_table():
 @pytest.fixture
 def save_bench_json():
     """Persist a machine-readable ``BENCH_<name>.json`` through the
-    :mod:`repro.obs` exporters, so successive PRs accumulate a perf
-    trajectory that scripts (not just humans) can diff."""
+    :mod:`repro.obs` exporters into :data:`FRESH_DIR`, where
+    ``check_regression.py`` compares it against the committed baseline
+    of the same name in ``benchmarks/results/``."""
     from repro.obs.exporters import export_bench_json
 
     def _save(name: str, rows, *, meta=None, registry=None) -> None:
-        RESULTS_DIR.mkdir(exist_ok=True)
+        FRESH_DIR.mkdir(parents=True, exist_ok=True)
         path = export_bench_json(
-            RESULTS_DIR / f"BENCH_{name}.json", name, rows,
+            FRESH_DIR / f"BENCH_{name}.json", name, rows,
             meta=meta, registry=registry,
         )
         print(f"[bench json saved to {path}]")

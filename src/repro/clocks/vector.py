@@ -16,9 +16,9 @@ Either backend can lazily materialize the other view (:meth:`as_array`
 / :meth:`as_tuple`); both hash and compare identically, a property the
 tests/clocks/test_fastpath.py property suite pins.  Batch helpers
 (:func:`stack_timestamps`, :func:`dominates_matrix`,
-:func:`concurrency_matrix`, :func:`merge_many`) give detectors an
-m-at-a-time API so hot paths stop issuing m² Python-level ``__le__``
-calls.
+:func:`concurrency_matrix`, :func:`chain_concurrency_csr`,
+:func:`merge_many`) give detectors an m-at-a-time API so hot paths stop
+issuing m² Python-level ``__le__`` calls.
 
 On top of either backend, timestamps with n ≤ :data:`PACKED_MAX_N`
 components that all fit in ``64 // n - 1`` bits additionally carry a
@@ -483,91 +483,130 @@ def concurrency_matrix(timestamps: Sequence[VectorTimestamp]) -> "np.ndarray":
     return conc
 
 
-#: Tile edge for the CSR concurrency kernels — power of two; a 512×512
-#: bool tile plus its transposed sibling stay cache-resident, so the
-#: symmetric OR never does strided reads over the full matrix.
-_CONC_TILE = 512
+#: (row, chain) pairs searched per vectorized pass of
+#: :func:`chain_concurrency_csr` (whole chains per group, at least one).
+_CHAIN_PAIRS = 1 << 14
 
 
-def _csr_assemble(
-    m: int, rows_parts: list, cols_parts: list
+def _chain_bounds(
+    vecs: "np.ndarray",
+    packed: "np.ndarray | None",
+    walk: "np.ndarray",
+    rows: "np.ndarray",
+    base: "np.ndarray",
+    size: "np.ndarray",
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Assemble tile-local (row, col) index parts into CSR ``(cols,
-    indptr)``.  Parts must be appended in ascending column-range order
-    per row block, each internally column-ascending — a stable sort by
-    row then recovers full row-major order."""
+    """Per (row, chain) pair, the range ``[p, s)`` of chain positions
+    concurrent with the row.  Pair i pairs stamp ``rows[i]`` with the
+    chain stored at ``walk[base[i]:base[i] + size[i]]``;
+    ``p = #{k : chain[k] <= row}`` (a prefix, the chain being monotone)
+    and ``s = #{k : not row <= chain[k]}`` (likewise a prefix).
+
+    Both are branchless binary searches over all pairs at once: each
+    step tries to advance every count by the same power of two and
+    keeps the advance where the probed chain element still satisfies
+    the prefix predicate.  Probes compare packed words (SWAR) when
+    ``packed`` is given, component rows otherwise.
+    """
+    p = np.zeros(rows.shape[0], dtype=np.intp)
+    s = np.zeros(rows.shape[0], dtype=np.intp)
+    if packed is not None:
+        g = np.uint64(_PACK_GUARD[vecs.shape[1]])
+        chain_w = packed[walk]
+        row_w = packed[rows]
+        row_g = row_w | g
+
+        def below(k: "np.ndarray") -> "np.ndarray":      # chain[k] <= row
+            return ((row_g - chain_w[k]) & g) == g
+
+        def above(k: "np.ndarray") -> "np.ndarray":      # row <= chain[k]
+            return (((chain_w[k] | g) - row_w) & g) == g
+    else:
+        chain_v = vecs[walk]
+        row_v = vecs[rows]
+
+        def below(k: "np.ndarray") -> "np.ndarray":
+            return np.all(chain_v[k] <= row_v, axis=1)
+
+        def above(k: "np.ndarray") -> "np.ndarray":
+            return np.all(row_v <= chain_v[k], axis=1)
+
+    last = size - 1
+    step = 1 << (int(size.max()).bit_length() - 1)
+    while step:
+        k = p + (step - 1)
+        fits = k <= last
+        np.minimum(k, last, out=k)
+        p += step * (fits & below(k + base))
+        k = s + (step - 1)
+        fits = k <= last
+        np.minimum(k, last, out=k)
+        s += step * (fits & ~above(k + base))
+        step >>= 1
+    return p, s
+
+
+def chain_concurrency_csr(
+    vecs: "np.ndarray", chains: "np.ndarray"
+) -> "tuple[np.ndarray, np.ndarray]":
+    """CSR form ``(cols, indptr)`` of the concurrency relation over the
+    (m, n) stamp matrix ``vecs``: row i's concurrent partners (ascending)
+    sit at ``cols[indptr[i]:indptr[i + 1]]``.  Equal to ``np.nonzero``
+    over :func:`concurrency_matrix`'s output, per-row column order
+    included.
+
+    ``chains[i]`` labels the chain of row i.  A chain's rows, taken in
+    ascending row order, must carry non-decreasing stamps (one process's
+    records between clock resets, say); a :class:`ClockError` reports a
+    labelling that breaks this.  Along a chain "b <= a" holds on a
+    prefix and "a <= b" on a suffix, so each row's partners in a chain
+    form one contiguous range, found by :func:`_chain_bounds`.  The cost
+    is O(m·C·log m) for C chains plus the output size; no m×m matrix is
+    built, and the (row, chain) pairs are searched in groups of about
+    :data:`_CHAIN_PAIRS`.
+    """
+    m = vecs.shape[0]
     indptr = np.zeros(m + 1, dtype=np.intp)
-    if not rows_parts:
-        return np.empty(0, dtype=np.intp), indptr
-    rows = np.concatenate(rows_parts)
-    cols = np.concatenate(cols_parts)
-    cols = cols[np.argsort(rows, kind="stable")]
-    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
-    return cols, indptr
-
-
-def _tile_nonzero(blk: "np.ndarray", di: int) -> "np.ndarray":
-    """Flat indices of True cells in the first ``di`` rows of a
-    C-contiguous boolean tile, ascending (row-major).
-
-    Scans 8 cells per step through a uint64 view (the tile width is a
-    multiple of 8), then expands only the nonzero words — at typical
-    race densities this beats ``np.nonzero``'s cell-by-cell scan ~5x.
-    """
-    active = blk[:di].reshape(-1)
-    words = np.flatnonzero(active.view(np.uint64))
-    if not words.size:
-        return words
-    cand = ((words[:, None] << 3) + _TILE_LANES).reshape(-1)
-    return cand[active[cand]]
-
-
-_TILE_LANES = np.arange(8, dtype=np.intp)
-
-
-def concurrency_csr(leq: "np.ndarray") -> "tuple[np.ndarray, np.ndarray]":
-    """CSR form ``(cols, indptr)`` of the concurrency relation from a
-    square dominance matrix: row i's concurrent partners (ascending)
-    sit at ``cols[indptr[i]:indptr[i + 1]]``.
-
-    Tiled over the upper triangle with a reused scratch block, mirroring
-    each off-diagonal tile — the m×m concurrency matrix itself is never
-    materialized and per-tile scans stay in cache (at m=5000 the
-    matrix + full-scan route costs ~10x more in memory traffic).
-    Equivalent to ``np.nonzero`` over :func:`concurrency_matrix`'s
-    output, including the per-row column order.
-    """
-    m = leq.shape[0]
     if m == 0:
-        return np.empty(0, dtype=np.intp), np.zeros(1, dtype=np.intp)
-    t = _CONC_TILE
-    shift = t.bit_length() - 1
-    blk = np.zeros((t, t), dtype=bool)    # padding columns stay False
-    rows_parts: list = []
-    cols_parts: list = []
-    for i0 in range(0, m, t):
-        i1 = min(m, i0 + t)
-        di = i1 - i0
-        for j0 in range(i0, m, t):
-            j1 = min(m, j0 + t)
-            dj = j1 - j0
-            target = blk[:di, :dj]
-            np.bitwise_or(leq[i0:i1, j0:j1], leq[j0:j1, i0:i1].T, out=target)
-            np.logical_not(target, out=target)
-            if i0 == j0:
-                np.fill_diagonal(target, False)
-            if dj < t:               # clear stale cells past this tile's edge
-                blk[:di, dj:] = False
-            idx = _tile_nonzero(blk, di)
-            if idx.size:
-                r = idx >> shift
-                c = idx & (t - 1)
-                rows_parts.append(r + i0)
-                cols_parts.append(c + j0)
-                if j0 != i0:     # mirror the symmetric lower-triangle tile
-                    rows_parts.append(c + j0)
-                    cols_parts.append(r + i0)
-    return _csr_assemble(m, rows_parts, cols_parts)
+        return np.empty(0, dtype=np.intp), indptr
+    chains = np.asarray(chains)
+    if chains.shape != (m,):
+        raise ClockError(f"need one chain id per row: {chains.shape} vs ({m},)")
+    walk = np.argsort(chains, kind="stable")     # chain-major, rows ascending
+    labels = chains[walk]
+    same = labels[1:] == labels[:-1]
+    stamps = vecs[walk]
+    if not np.all(stamps[:-1][same] <= stamps[1:][same]):
+        raise ClockError("chain stamps must be non-decreasing in row order")
+    packed = pack_matrix(vecs)
+    starts = np.concatenate(([0], np.flatnonzero(~same) + 1))
+    sizes = np.diff(starts, append=m)
+    per = max(1, _CHAIN_PAIRS // m)
+    keys = []
+    for c0 in range(0, starts.shape[0], per):
+        group = slice(c0, c0 + per)
+        count = starts[group].shape[0]
+        rows = np.tile(np.arange(m), count)
+        base = np.repeat(starts[group], m)
+        p, s = _chain_bounds(
+            vecs, packed, walk, rows, base, np.repeat(sizes[group], m)
+        )
+        widths = np.maximum(s - p, 0)
+        racing = np.flatnonzero(widths)
+        if not racing.size:
+            continue
+        widths = widths[racing]
+        # Expand each racing pair's [p, s) into walk positions.
+        ends = np.cumsum(widths)
+        first = base[racing] + p[racing] - (ends - widths)
+        pos = np.arange(ends[-1]) + np.repeat(first, widths)
+        keys.append(np.repeat(rows[racing], widths) * m + walk[pos])
+    if not keys:
+        return np.empty(0, dtype=np.intp), indptr
+    # Row-major order across chains: one sort of the (row, col) keys.
+    rows, cols = np.divmod(np.sort(np.concatenate(keys)), m)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    return cols.astype(np.intp, copy=False), indptr
 
 
 def dominates_block(
@@ -742,7 +781,7 @@ __all__ = [
     "dominates_matrix",
     "dominates_block",
     "concurrency_matrix",
-    "concurrency_csr",
+    "chain_concurrency_csr",
     "concurrency_block",
     "merge_many",
 ]

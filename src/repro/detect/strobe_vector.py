@@ -37,12 +37,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.clocks.vector import (
-    concurrency_csr,
-    concurrency_matrix,
-    dominates_matrix,
-    stack_timestamps,
-)
+from repro.clocks.vector import chain_concurrency_csr, stack_timestamps
 from repro.core.records import SensedEventRecord
 from repro.detect.base import Detection, DetectionLabel, Detector
 from repro.predicates.base import Predicate
@@ -152,17 +147,6 @@ class VectorStrobeDetector(Detector):
         return snap
 
     # ------------------------------------------------------------------
-    def _concurrency_matrix(self, records: list[SensedEventRecord]) -> np.ndarray:
-        """Boolean m×m matrix: conc[i, j] iff records i and j are
-        concurrent under the strobe vector order.
-
-        Delegates to the batch dominance kernel in
-        :mod:`repro.clocks.vector`, which is component-sliced for
-        narrow vectors and memory-bounded (chunked) for wide ones."""
-        if not records:
-            return np.zeros((0, 0), dtype=bool)
-        return concurrency_matrix([r.strobe_vector for r in records])
-
     @staticmethod
     def _race_csr(conc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """CSR decomposition of the concurrency matrix: ``(cols,
@@ -433,6 +417,26 @@ class VectorStrobeDetector(Detector):
     def _sort_key(r: SensedEventRecord):
         return (r.strobe_vector.sum(), r.pid, r.seq)
 
+    @staticmethod
+    def _linearize(
+        records: list[SensedEventRecord],
+    ) -> tuple[list[SensedEventRecord], np.ndarray, np.ndarray]:
+        """The (sum, pid, seq) linearization of (pid, seq)-sorted
+        ``records``, with their stacked stamps and race-kernel chain ids
+        in the same order."""
+        vecs = stack_timestamps([r.strobe_vector for r in records])
+        # A stable argsort on component sums alone realizes the
+        # (sum, pid, seq) key without m Python-level key tuples.
+        order = np.argsort(vecs.sum(axis=1), kind="stable")
+        # Chains: cut the store wherever a stamp fails to dominate its
+        # predecessor — at most process boundaries and at every restart
+        # (the strobe clock reboots from zero).  Stamps within a chain
+        # are ordered, hence so are their sums, so the linearization
+        # keeps each chain in store order, as the kernel requires.
+        breaks = np.any(vecs[1:] < vecs[:-1], axis=1)
+        chains = np.concatenate(([0], np.cumsum(breaks)))[: len(records)]
+        return [records[k] for k in order], vecs[order], chains[order]
+
     def _check_stamps(self, records: list[SensedEventRecord]) -> None:
         missing = [r for r in records if r.strobe_vector is None]
         if missing:
@@ -444,19 +448,8 @@ class VectorStrobeDetector(Detector):
     def finalize(self) -> list[Detection]:
         records = self.store.all()
         self._check_stamps(records)
-        if records:
-            vecs_u = stack_timestamps([r.strobe_vector for r in records])
-            # ``store.all()`` is (pid, seq)-sorted, so a stable argsort
-            # on component sums alone realizes the (sum, pid, seq)
-            # linearization key without m Python-level key tuples.
-            order = np.argsort(vecs_u.sum(axis=1), kind="stable")
-            ordered = [records[k] for k in order]
-            vecs = vecs_u[order]
-            leq = dominates_matrix((), vecs=vecs)
-            cols_a, indptr_a = concurrency_csr(leq)
-        else:
-            ordered = records
-            cols_a, indptr_a = self._race_csr(np.zeros((0, 0), dtype=bool))
+        ordered, vecs, chains = self._linearize(records)
+        cols_a, indptr_a = chain_concurrency_csr(vecs, chains)
         cols = cols_a.tolist()       # Python ints: cheap slices/indexing
         bounds = indptr_a.tolist()
         vars_l = [r.var for r in ordered]

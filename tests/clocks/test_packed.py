@@ -19,8 +19,8 @@ from repro.clocks.vector import (
     PACKED_MAX_N,
     VectorTimestamp,
     _sliced_leq,
+    chain_concurrency_csr,
     concurrency_block,
-    concurrency_csr,
     concurrency_matrix,
     dominates_block,
     dominates_matrix,
@@ -151,7 +151,8 @@ def test_pack_matrix_matches_scalar_packing(vecs):
 @given(timestamp_matrices())
 def test_batch_kernels_match_pairwise(vecs):
     """dominates/concurrency matrices and the CSR kernel agree with the
-    pairwise operators whether or not the set packs."""
+    pairwise operators whether or not the set packs.  Any stamp set is
+    chain-shaped once every row is its own chain."""
     ts = [VectorTimestamp(row) for row in vecs]
     m = len(ts)
     leq = dominates_matrix(ts)
@@ -168,7 +169,7 @@ def test_batch_kernels_match_pairwise(vecs):
         dtype=bool,
     )
     assert np.array_equal(conc, ref_conc)
-    cols, indptr = concurrency_csr(leq)
+    cols, indptr = chain_concurrency_csr(vecs, np.arange(m))
     rows_ref, cols_ref = np.nonzero(ref_conc)
     assert np.array_equal(cols, cols_ref)
     assert np.array_equal(indptr[1:] - indptr[:-1], ref_conc.sum(axis=1))

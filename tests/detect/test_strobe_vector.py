@@ -1,7 +1,9 @@
 """Tests for the vector-strobe detector and its borderline bin."""
 
+import numpy as np
 import pytest
 
+from repro.clocks.vector import chain_concurrency_csr, stack_timestamps
 from repro.detect.base import DetectionLabel
 from repro.detect.strobe_vector import VectorStrobeDetector
 from repro.predicates.relational import SumThresholdPredicate
@@ -114,14 +116,13 @@ def test_empty_store_no_detections():
 
 
 def test_concurrency_matrix(rec):
-    d = VectorStrobeDetector(occupancy(), {"x": 0, "y": 0})
     rs = [
         rec(0, "x", 1, true_time=0.0, vector=(1, 0)),
         rec(1, "y", 1, true_time=0.0, vector=(0, 1)),
         rec(0, "x", 2, true_time=1.0, vector=(2, 1)),
     ]
-    conc = d._concurrency_matrix(rs)
-    assert conc[0, 1] and conc[1, 0]
-    assert not conc[0, 2] and not conc[2, 0]    # (1,0) < (2,1)
-    assert not conc[1, 2]                        # (0,1) < (2,1)
-    assert not conc.diagonal().any()
+    vecs = stack_timestamps([r.strobe_vector for r in rs])
+    cols, indptr = chain_concurrency_csr(vecs, np.array([0, 1, 0]))
+    races = [cols[indptr[i]:indptr[i + 1]].tolist() for i in range(3)]
+    assert races[0] == [1] and races[1] == [0]   # (1,0) || (0,1)
+    assert races[2] == []          # (1,0) < (2,1) and (0,1) < (2,1)
