@@ -210,11 +210,11 @@ def test_sweep_replications(save_bench_json):
 
     registry = MetricsRegistry()
     tasks = expand_matrix(MATRICES["detector_throughput"], master_seed=0)
-    rows = SweepRunner(workers=1, registry=registry).run(tasks)
+    rows = SweepRunner(workers=1, registry=registry).run(tasks).rows
     assert [r["index"] for r in rows] == list(range(len(tasks)))
     assert all("error" not in r for r in rows)
     # Same (detector, m, seed) coordinates -> same counts and labels.
-    again = SweepRunner(workers=1).run(tasks)
+    again = SweepRunner(workers=1).run(tasks).rows
     assert [r["result"] for r in again] == [r["result"] for r in rows]
     save_bench_json(
         "detector_throughput_sweep",

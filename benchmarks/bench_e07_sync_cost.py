@@ -87,7 +87,7 @@ def test_sweep_replications(save_bench_json):
 
     registry = MetricsRegistry()
     tasks = expand_matrix(MATRICES["sync_cost"], master_seed=0, reps=2)
-    rows = SweepRunner(workers=1, registry=registry).run(tasks)
+    rows = SweepRunner(workers=1, registry=registry).run(tasks).rows
     assert all("error" not in r for r in rows)
     by_option: dict = {}
     for r in rows:

@@ -35,7 +35,7 @@ Examples::
     python -m repro recover certify smart_office --duration 30 --family all
     python -m repro recover stream hall --out hall.stream.jsonl
     python -m repro serve --wal served/ --scenario hall --in hall.stream.jsonl
-    python -m repro sweep detector_throughput --supervised --timeout 300
+    python -m repro sweep detector_throughput --workers 4 --timeout 300
 """
 
 from __future__ import annotations
@@ -72,19 +72,14 @@ def _positive_int(text: str) -> int:
 
 
 def _supervision_flags(p) -> None:
-    """--supervised / --timeout / --retries (sweep-shaped commands)."""
-    p.add_argument("--supervised", action="store_true",
-                   help="run tasks on the supervised worker plane: "
-                        "per-task wall timeouts, bounded retries, "
-                        "quarantine to <out>.quarantine.jsonl, durable "
-                        "row streaming to <out>.partial.jsonl, graceful "
-                        "SIGINT/SIGTERM drain")
+    """--timeout / --retries (sweep-shaped commands)."""
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="with --supervised: kill a task exceeding this "
-                        "wall time (default: no per-task deadline)")
+                   help="kill a task exceeding this wall time and retry it "
+                        "on a fresh worker (default: no per-task deadline)")
     p.add_argument("--retries", type=int, default=2, metavar="N",
-                   help="with --supervised: retry a hung/killed task up "
-                        "to N times before quarantining (default 2)")
+                   help="retry a hung/killed task up to N times before "
+                        "quarantining it to <out>.quarantine.jsonl "
+                        "(default 2)")
 
 
 def _score_row(name, truth, detections):
@@ -323,76 +318,95 @@ def cmd_obs_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sidecar_paths(out: str) -> "tuple[str, str]":
-    """(partial rows JSONL, quarantine JSONL) for a supervised --out."""
-    return f"{out}.partial.jsonl", f"{out}.quarantine.jsonl"
+def _run_sweep_tasks(prog, args, tasks, *, out: str, noun: str, **header):
+    """Shared body of ``sweep`` and ``replay matrix``.
 
+    Resumes from --out and its ``<out>.partial.jsonl`` sidecar, runs the
+    remaining tasks on the worker pool (rows are durably appended to
+    the sidecar as they land, so a killed parent resumes from disk;
+    poisoned tasks go to ``<out>.quarantine.jsonl``), writes --out
+    atomically and drops the sidecar.  ``header`` is passed on to
+    :func:`~repro.sweep.write_sweep_jsonl`.
 
-def _run_supervised(tasks, *, out: str, args, registry):
-    """Run tasks on the supervised worker plane.
-
-    Completed rows are durably appended to ``<out>.partial.jsonl`` as
-    they land (so a killed parent resumes from disk); poisoned tasks go
-    to ``<out>.quarantine.jsonl``.  Returns the SupervisedReport.
+    Returns ``(rows, exit code)``: 0 every row computed, 1 failed rows
+    or a degraded run, 2 bad --timeout/--retries, 130 interrupted.
     """
     import json as _json
+    import os as _os
 
-    from repro.recover import SupervisedPool, SupervisePolicy
+    from repro.obs import MetricsRegistry
+    from repro.sweep import (
+        SupervisePolicy,
+        SweepRunner,
+        partition_resumable,
+        read_completed_rows,
+        write_sweep_jsonl,
+    )
     from repro.util.atomicio import durable_append_lines
 
-    partial, quarantine = _sidecar_paths(out)
-
-    def on_row(row):
-        durable_append_lines(partial, [_json.dumps(row, sort_keys=True)])
-
-    pool = SupervisedPool(
+    if args.timeout is not None and not args.timeout > 0:
+        print(f"{prog}: --timeout must be a positive number of seconds, "
+              f"got {args.timeout}", file=sys.stderr)
+        return [], 2
+    if args.retries < 0:
+        print(f"{prog}: --retries must be >= 0, got {args.retries}",
+              file=sys.stderr)
+        return [], 2
+    partial, quarantine = f"{out}.partial.jsonl", f"{out}.quarantine.jsonl"
+    cached: list = []
+    if args.resume:
+        completed = read_completed_rows(out)
+        completed.update(read_completed_rows(partial))
+        tasks, cached = partition_resumable(tasks, completed)
+        if cached:
+            print(f"resume: {len(cached)} point(s) already in {out}, "
+                  f"{len(tasks)} to run")
+    registry = MetricsRegistry()
+    runner = SweepRunner(
         workers=args.workers,
-        policy=SupervisePolicy(
-            timeout_s=args.timeout, max_retries=args.retries,
-        ),
-        seed=args.seed if hasattr(args, "seed") else 0,
+        policy=SupervisePolicy(timeout_s=args.timeout, max_retries=args.retries),
+        seed=getattr(args, "seed", 0),
         registry=registry,
         quarantine_path=quarantine,
-        on_row=on_row,
+        on_row=lambda row: durable_append_lines(
+            partial, [_json.dumps(row, sort_keys=True)]
+        ),
     )
-    report = pool.run(tasks)
-    if report.quarantined or report.status != "ok":
-        spec = report.to_spec()
-        print(f"supervised plane: status={spec['status']} "
-              f"retries={spec['retries']} timeouts={spec['timeouts']} "
-              f"worker_deaths={spec['worker_deaths']} "
-              f"skipped={spec['skipped']}", file=sys.stderr)
+    report = runner.run(tasks)
+    if report.status != "ok":
+        print(f"worker pool: status={report.status} retries={report.retries} "
+              f"timeouts={report.timeouts} "
+              f"worker_deaths={report.worker_deaths} "
+              f"skipped={report.skipped}", file=sys.stderr)
         for q in report.quarantined:
             print(f"  quarantined task {q['index']} {q['params']}: "
                   f"{q['reason']} ({q['attempts']} attempt(s)) "
                   f"-> {quarantine}", file=sys.stderr)
-    return report
-
-
-def _drop_partial_sidecar(out: str) -> None:
-    """Remove ``<out>.partial.jsonl`` once its rows are merged into
-    the atomically-written --out (they are now durable there)."""
-    import os as _os
-
-    partial, _ = _sidecar_paths(out)
+    rows = sorted(report.rows + cached, key=lambda r: r["index"])
+    path = write_sweep_jsonl(out, rows, **header)
+    # The sidecar's rows are now durable in the atomically written --out.
     if _os.path.exists(partial):
         _os.unlink(partial)
-
-
-def _supervised_exit(report, failed: int) -> int:
+    failed = [r for r in rows if "error" in r]
+    wall = registry.histogram("sweep.task_wall_s")
+    print(f"{len(rows)} {noun} ({len(failed)} failed, {len(cached)} cached), "
+          f"{runner.workers} worker(s), task wall mean={wall.mean:.3f}s "
+          f"max={wall.max:.3f}s -> {path}")
+    for r in failed:
+        print(f"  task {r['index']} {r['params']}: {r['error']}",
+              file=sys.stderr)
     if report.status == "interrupted":
-        return 130
-    return 1 if (failed or report.status == "degraded") else 0
+        return rows, 130
+    return rows, 1 if (failed or report.status == "degraded") else 0
 
 
 def cmd_sweep(args) -> int:
-    """Run a named (config, seed) replication matrix on a process pool.
+    """Run a named (config, seed) replication matrix on the worker pool.
 
     The JSONL output is byte-identical for any ``--workers`` value —
     the determinism contract of :mod:`repro.sweep`.
     """
-    from repro.obs import MetricsRegistry
-    from repro.sweep import SweepRunner, expand_matrix, write_sweep_jsonl
+    from repro.sweep import expand_matrix
     from repro.sweep.points import MATRICES
 
     if args.list_matrices:
@@ -410,47 +424,12 @@ def cmd_sweep(args) -> int:
               f"(have {', '.join(sorted(MATRICES))})", file=sys.stderr)
         return 2
     tasks = expand_matrix(spec, master_seed=args.seed, reps=args.reps)
-    out = args.out or f"sweep_{spec.name}.jsonl"
-    cached: list = []
-    if args.resume:
-        from repro.sweep import partition_resumable, read_completed_rows
-
-        completed = read_completed_rows(out)
-        # A supervised run streams rows to a partial sidecar before the
-        # final file lands — a killed run resumes from both.
-        completed.update(read_completed_rows(_sidecar_paths(out)[0]))
-        tasks, cached = partition_resumable(tasks, completed)
-        if cached:
-            print(f"resume: {len(cached)} point(s) already in {out}, "
-                  f"{len(tasks)} to run")
-    registry = MetricsRegistry()
-    report = None
-    if args.supervised:
-        report = _run_supervised(tasks, out=out, args=args, registry=registry)
-        rows = sorted(report.rows + cached, key=lambda r: r["index"])
-        workers = args.workers
-    else:
-        runner = SweepRunner(workers=args.workers, registry=registry)
-        rows = sorted(runner.run(tasks) + cached, key=lambda r: r["index"])
-        workers = runner.workers
-    path = write_sweep_jsonl(
-        out, rows, matrix=spec.name, master_seed=args.seed,
+    _, code = _run_sweep_tasks(
+        "repro sweep", args, tasks, out=args.out or f"sweep_{spec.name}.jsonl",
+        noun="tasks", matrix=spec.name, master_seed=args.seed,
         reps=args.reps or spec.reps,
     )
-    _drop_partial_sidecar(out)
-    failed = sum(1 for r in rows if "error" in r)
-    wall = registry.histogram("sweep.task_wall_s")
-    print(f"{len(rows)} tasks ({failed} failed, {len(cached)} cached), "
-          f"{workers} worker(s), "
-          f"task wall mean={wall.mean:.3f}s max={wall.max:.3f}s -> {path}")
-    if failed:
-        for r in rows:
-            if "error" in r:
-                print(f"  task {r['index']} {r['params']}: {r['error']}",
-                      file=sys.stderr)
-    if report is not None:
-        return _supervised_exit(report, failed)
-    return 1 if failed else 0
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -858,11 +837,11 @@ def cmd_replay_matrix(args) -> int:
     """Fan one trace across a grid of time-model swaps (repro.sweep).
 
     Output JSONL is byte-identical for any --workers value.
-    Exit codes: 0 all points computed, 1 some points failed, 2 usage.
+    Exit codes: 0 all points computed, 1 some points failed or the run
+    degraded, 2 usage, 130 interrupted.
     """
-    from repro.obs import MetricsRegistry
     from repro.replay import matrix_spec
-    from repro.sweep import SweepRunner, expand_matrix, write_sweep_jsonl
+    from repro.sweep import expand_matrix
 
     families = tuple(
         s for chunk in (args.clock_families or []) for s in chunk.split(",") if s
@@ -883,44 +862,18 @@ def cmd_replay_matrix(args) -> int:
         print(f"repro replay matrix: {exc}", file=sys.stderr)
         return 2
     tasks = expand_matrix(spec, master_seed=0)
-    out = args.out or f"{args.trace}.matrix.jsonl"
-    cached: list = []
-    if args.resume:
-        from repro.sweep import partition_resumable, read_completed_rows
-
-        completed = read_completed_rows(out)
-        completed.update(read_completed_rows(_sidecar_paths(out)[0]))
-        tasks, cached = partition_resumable(tasks, completed)
-        if cached:
-            print(f"resume: {len(cached)} point(s) already in {out}, "
-                  f"{len(tasks)} to run")
-    registry = MetricsRegistry()
-    report = None
-    if args.supervised:
-        report = _run_supervised(tasks, out=out, args=args, registry=registry)
-        rows = sorted(report.rows + cached, key=lambda r: r["index"])
-        workers = args.workers
-    else:
-        runner = SweepRunner(workers=args.workers, registry=registry)
-        rows = sorted(runner.run(tasks) + cached, key=lambda r: r["index"])
-        workers = runner.workers
-    path = write_sweep_jsonl(out, rows, matrix=spec.name, master_seed=0)
-    _drop_partial_sidecar(out)
-    failed = sum(1 for r in rows if "error" in r)
-    print(f"{len(rows)} counterfactual(s) ({failed} failed, "
-          f"{len(cached)} cached), {workers} worker(s) -> {path}")
+    rows, code = _run_sweep_tasks(
+        "repro replay matrix", args, tasks,
+        out=args.out or f"{args.trace}.matrix.jsonl",
+        noun="counterfactual(s)", matrix=spec.name, master_seed=0,
+    )
     for r in rows:
-        if "error" in r:
-            print(f"  point {r['index']} {r['params']}: {r['error']}",
-                  file=sys.stderr)
-        else:
+        if "error" not in r:
             res = r["result"]
             axes = {k: v for k, v in r["params"].items() if k != "trace"}
             print(f"  {axes}: kept={res['kept']} appeared={res['appeared']} "
                   f"disappeared={res['disappeared']}")
-    if report is not None:
-        return _supervised_exit(report, failed)
-    return 1 if failed else 0
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -1220,8 +1173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=_positive_int, default=None,
                    help="replications per grid point (default: the matrix's)")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="process-pool size (1 = inline; output is "
-                        "byte-identical for any value)")
+                   help="worker processes (1 without --timeout = inline; "
+                        "output is byte-identical for any value)")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="output JSONL (default sweep_<matrix>.jsonl)")
     p.add_argument("--list", dest="list_matrices", action="store_true",
@@ -1401,7 +1354,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="comma-separated sync periods to sweep")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="process-pool size (output byte-identical for any value)")
+                   help="worker processes (output byte-identical for any value)")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="output JSONL (default <trace>.matrix.jsonl)")
     p.add_argument("--resume", action="store_true",

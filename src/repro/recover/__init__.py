@@ -1,6 +1,6 @@
 """repro.recover — crash-recoverable execution.
 
-Three robustness layers over the deterministic core:
+Two robustness layers over the deterministic core:
 
 * :mod:`repro.recover.checkpoint` — deterministic checkpoint/restore
   for manifest runs.  A checkpoint is a *state certificate*: a
@@ -9,15 +9,13 @@ Three robustness layers over the deterministic core:
   windows).  ``restore`` re-derives the prefix from the manifest and
   proves the recomputed snapshot matches before continuing, so a
   resumed run is byte-identical to an uninterrupted one.
-* :mod:`repro.recover.supervisor` — a supervised worker plane shared
-  by ``repro sweep`` and ``repro replay matrix``: per-task wall
-  timeouts, bounded retries with seeded deterministic backoff, worker
-  death detection, poison-task quarantine, and graceful SIGINT/SIGTERM
-  drain.  Infrastructure failure degrades the run (explicit
-  ``degraded`` report) instead of poisoning it.
 * :mod:`repro.recover.wal` — a write-ahead-logged streaming detector
   (``repro serve --wal``) that survives ``kill -9`` with byte-identical
   resumed detections.
+
+Sweep supervision (per-task deadlines, deterministic-backoff retries,
+quarantine, durable row streaming, SIGINT/SIGTERM drain) lives in the
+one worker pool, :class:`repro.sweep.SweepRunner`.
 
 Certification (``repro recover certify``) kills a run at every Nth
 event boundary, restores from the checkpoint, and byte-compares trace
@@ -39,11 +37,6 @@ from repro.recover.stream import (
     record_from_spec,
     record_to_spec,
 )
-from repro.recover.supervisor import (
-    SupervisedPool,
-    SupervisedReport,
-    SupervisePolicy,
-)
 from repro.recover.wal import WalServer
 
 __all__ = [
@@ -51,9 +44,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "PartialRun",
-    "SupervisePolicy",
-    "SupervisedPool",
-    "SupervisedReport",
     "WalServer",
     "certify_all_families",
     "certify_kill_anywhere",

@@ -2,8 +2,8 @@
 
 The subsystem turns ``(config, seed)`` replications of the repo's
 benchmarks and experiments into spawn-safe task lists and runs them on
-a process pool, with one load-bearing guarantee: **the collected
-output is byte-identical for any worker count** (see
+supervised worker processes, with one load-bearing guarantee: **the
+collected output is byte-identical for any worker count** (see
 :mod:`repro.sweep.runner` for how the format enforces that).
 
 Pieces:
@@ -11,7 +11,9 @@ Pieces:
 * :class:`SweepTask` / :func:`expand_matrix` — spawn-safe descriptors
   and cartesian-grid expansion with per-task ``substream_seed``
   derivation (:mod:`repro.sweep.tasks`);
-* :class:`SweepRunner` + the sweep JSONL reader/writer
+* :class:`SweepRunner` (the one worker pool: deadlines, retries,
+  quarantine, drain under a :class:`SupervisePolicy`), its
+  :class:`SweepReport`, and the sweep JSONL reader/writer
   (:mod:`repro.sweep.runner`);
 * the sweep-point functions and named matrices behind the
   ``repro sweep`` CLI (:mod:`repro.sweep.points`).
@@ -19,6 +21,8 @@ Pieces:
 
 from repro.sweep.runner import (
     FORMAT_VERSION,
+    SupervisePolicy,
+    SweepReport,
     SweepRunner,
     coordinate_digest,
     partition_resumable,
@@ -39,7 +43,9 @@ from repro.sweep.tasks import (
 __all__ = [
     "FORMAT_VERSION",
     "MatrixSpec",
+    "SupervisePolicy",
     "SweepError",
+    "SweepReport",
     "SweepRunner",
     "SweepTask",
     "coordinate_digest",

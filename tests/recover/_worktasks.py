@@ -33,3 +33,31 @@ def die(x: int, seed: int) -> dict:  # pragma: no cover - killed below
     del x, seed
     os.kill(os.getpid(), signal.SIGKILL)
     return {}
+
+
+def pid(x: int, seed: int) -> dict:
+    """Which process ran the task (persistent-worker tests only: a pid
+    in a row breaks byte-identity across runs by design)."""
+    del seed
+    return {"x": x, "pid": os.getpid()}
+
+
+def nap(x: int, seed: int) -> dict:
+    """A healthy task that takes a moment (drain tests)."""
+    time.sleep(0.2)
+    return ok(x, seed)
+
+
+def chained(x: int, seed: int, n: int, gate: str, registry) -> dict:
+    """Finish only after task ``x + 1`` has (so a pool that runs all
+    ``n`` at once completes them in reverse index order), then report
+    order-sensitive metrics: a last-writer gauge and a float sum."""
+    deadline = time.monotonic() + 30.0
+    while x + 1 < n and not os.path.exists(os.path.join(gate, str(x + 1))):
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"task {x + 1} never finished")
+        time.sleep(0.01)
+    registry.gauge("chained.last").set(x)
+    registry.histogram("chained.h").observe(0.1 * (x + 1))
+    open(os.path.join(gate, str(x)), "w").close()
+    return {"x": x, "seed": seed}

@@ -1,5 +1,5 @@
 """CLI surface of the recovery layer: ``repro recover`` / ``repro
-serve`` / supervised sweeps — including a real ``kill -9``-grade crash
+serve`` / pooled sweeps — including a real ``kill -9``-grade crash
 in a subprocess."""
 
 import json
@@ -119,16 +119,114 @@ def test_serve_survives_hard_kill_byte_identically(tmp_path):
     )
 
 
-def test_supervised_sweep_flag_smoke(capsys, tmp_path, monkeypatch):
-    """--supervised completes a real (tiny) matrix and cleans up its
-    partial sidecar."""
+def test_sweep_streams_rows_and_drops_partial_sidecar(tmp_path, monkeypatch):
+    """A pooled sweep streams every row to the partial sidecar, then
+    removes it once --out is written."""
+    import repro.util.atomicio as atomicio
+
+    appends = []
+    real_append = atomicio.durable_append_lines
+
+    def spy(path, lines):
+        appends.append(str(path))
+        real_append(path, lines)
+
+    monkeypatch.setattr(atomicio, "durable_append_lines", spy)
     out = tmp_path / "matrix.jsonl"
     rc = main([
         "sweep", "detector_throughput", "--reps", "1",
-        "--supervised", "--workers", "2", "--out", str(out),
+        "--workers", "2", "--out", str(out),
     ])
     assert rc == 0
-    assert out.exists()
-    assert not (tmp_path / "matrix.jsonl.partial.jsonl").exists()
-    header = json.loads(out.read_text().splitlines()[0])
+    header, *rows = [json.loads(ln) for ln in out.read_text().splitlines()]
     assert header["kind"] == "meta"
+    assert appends == [f"{out}.partial.jsonl"] * len(rows)
+    assert not (tmp_path / "matrix.jsonl.partial.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "replay"])
+@pytest.mark.parametrize("flag,value", [
+    ("--timeout", "0"), ("--timeout", "-1"), ("--timeout", "nan"),
+    ("--retries", "-1"),
+])
+def test_bad_timeout_or_retries_exit_2(command, flag, value, tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    if command == "sweep":
+        argv = ["sweep", "sync_cost"]
+    else:
+        trace = tmp_path / "office.trace"
+        assert main(["trace", "record", "smart_office", "--duration", "10",
+                     "--out", str(trace)]) == 0
+        argv = ["replay", "matrix", str(trace),
+                "--clock-families", "physical"]
+        capsys.readouterr()
+    rc = main(argv + [flag, value, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert flag in err
+    assert not out.exists()
+
+
+def test_sigint_drains_then_resume_is_byte_identical(tmp_path, monkeypatch):
+    """SIGINT after the first durable row: exit 130 with the finished
+    rows on disk, and --resume completes them to a fresh run's bytes."""
+    import signal
+
+    import repro.util.atomicio as atomicio
+
+    fresh = tmp_path / "fresh.jsonl"
+    argv = ["sweep", "sync_cost", "--reps", "1", "--workers", "2"]
+    assert main(argv + ["--out", str(fresh)]) == 0
+
+    real_append = atomicio.durable_append_lines
+    sent = []
+
+    def append_then_interrupt(path, lines):
+        real_append(path, lines)
+        if not sent:
+            sent.append(path)
+            os.kill(os.getpid(), signal.SIGINT)
+
+    monkeypatch.setattr(atomicio, "durable_append_lines", append_then_interrupt)
+    out = tmp_path / "drained.jsonl"
+    assert main(argv + ["--out", str(out)]) == 130
+    monkeypatch.setattr(atomicio, "durable_append_lines", real_append)
+    drained = out.read_text().splitlines()
+    assert 2 <= len(drained) < len(fresh.read_text().splitlines())
+
+    assert main(argv + ["--out", str(out), "--resume"]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.slow
+def test_sweep_survives_sigkill_of_the_parent(tmp_path):
+    """kill -9 the parent once a row is durable; --resume completes
+    the sweep byte-identically to an uninterrupted run."""
+    import signal
+    import time
+
+    env = _cli_env()
+    base = [sys.executable, "-m", "repro", "sweep", "fault_resilience",
+            "--workers", "2"]
+    fresh, killed = tmp_path / "fresh.jsonl", tmp_path / "killed.jsonl"
+    partial = tmp_path / "killed.jsonl.partial.jsonl"
+    subprocess.run(base + ["--out", str(fresh)], env=env, check=True,
+                   capture_output=True)
+    proc = subprocess.Popen(base + ["--out", str(killed)], env=env,
+                            stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    deadline = time.monotonic() + 60.0
+    while time.monotonic() < deadline and proc.poll() is None:
+        if partial.exists() and partial.read_text().strip():
+            proc.send_signal(signal.SIGKILL)
+            break
+        time.sleep(0.01)
+    proc.wait(timeout=60)
+    assert proc.returncode == -signal.SIGKILL, "the sweep beat the kill"
+    assert not killed.exists()
+    done = subprocess.run(base + ["--out", str(killed), "--resume"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "already in" in done.stdout
+    assert killed.read_bytes() == fresh.read_bytes()

@@ -55,8 +55,8 @@ def test_detector_point_rows_are_replay_stable():
         params={"detector": "vector_strobe", "m": 120}, seed=17,
     )
     runner = SweepRunner(workers=1)
-    first = runner.run([task])[0]
-    second = runner.run([task])[0]
+    first = runner.run([task]).rows[0]
+    second = runner.run([task]).rows[0]
     assert "error" not in first
     assert first == second
     assert first["result"]["labels_digest"] == second["result"]["labels_digest"]

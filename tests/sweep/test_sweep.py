@@ -123,14 +123,14 @@ def test_matrix_spec_validation():
 def test_inline_run_is_deterministic_and_ordered():
     tasks = expand_matrix(SMALL, master_seed=0)
     registry = MetricsRegistry()
-    rows = SweepRunner(workers=1, registry=registry).run(tasks)
+    rows = SweepRunner(workers=1, registry=registry).run(tasks).rows
     assert [r["index"] for r in rows] == list(range(4))
     assert all("error" not in r for r in rows)
     assert registry.counter("sweep.tasks_submitted").value == 4
     assert registry.counter("sweep.tasks_completed").value == 4
     assert registry.counter("sweep.tasks_failed").value == 0
     assert registry.histogram("sweep.task_wall_s").count == 4
-    again = SweepRunner(workers=1).run(tasks)
+    again = SweepRunner(workers=1).run(tasks).rows
     assert again == rows
 
 
@@ -139,8 +139,8 @@ def test_pool_run_matches_inline_bytes():
     """The headline contract: a spawn pool produces byte-identical
     JSONL to the inline path."""
     tasks = expand_matrix(SMALL, master_seed=0)
-    inline = SweepRunner(workers=1).run(tasks)
-    pooled = SweepRunner(workers=2).run(tasks)
+    inline = SweepRunner(workers=1).run(tasks).rows
+    pooled = SweepRunner(workers=2).run(tasks).rows
     kw = dict(matrix=SMALL.name, master_seed=0, reps=SMALL.reps)
     assert sweep_jsonl_lines(inline, **kw) == sweep_jsonl_lines(pooled, **kw)
 
@@ -153,7 +153,7 @@ def test_failed_tasks_are_counted_not_fatal():
                   params={"detector": "bogus", "m": 20}, seed=6),
     ]
     registry = MetricsRegistry()
-    rows = SweepRunner(workers=1, registry=registry).run(tasks)
+    rows = SweepRunner(workers=1, registry=registry).run(tasks).rows
     assert "result" in rows[0] and "error" in rows[1]
     assert registry.counter("sweep.tasks_completed").value == 1
     assert registry.counter("sweep.tasks_failed").value == 1
@@ -170,7 +170,7 @@ def test_runner_rejects_bad_workers():
 
 def test_jsonl_roundtrip(tmp_path):
     tasks = expand_matrix(SMALL, master_seed=0)
-    rows = SweepRunner(workers=1).run(tasks)
+    rows = SweepRunner(workers=1).run(tasks).rows
     path = write_sweep_jsonl(
         tmp_path / "sweep.jsonl", rows, matrix="small", master_seed=0, reps=2,
     )
@@ -183,7 +183,7 @@ def test_jsonl_roundtrip(tmp_path):
 
 def test_jsonl_has_no_wall_times(tmp_path):
     tasks = expand_matrix(SMALL, master_seed=0)
-    rows = SweepRunner(workers=1).run(tasks)
+    rows = SweepRunner(workers=1).run(tasks).rows
     text = "\n".join(sweep_jsonl_lines(rows, matrix="small", master_seed=0))
     assert "wall" not in text
     assert "t_wall" not in text

@@ -2,7 +2,7 @@
 
 Task functions that accept a ``registry`` kwarg get a worker-local
 MetricsRegistry; its snapshot ships home with the result and merges
-into the runner's registry in submission order.  Rows (the JSONL
+into the runner's registry in task-index order.  Rows (the JSONL
 payload) stay byte-identical whether metrics ride along or not.
 """
 
@@ -39,7 +39,7 @@ def test_execute_task_ships_metrics_outside_the_row():
 
 def test_worker_metrics_merge_into_parent_registry():
     reg = MetricsRegistry()
-    rows = SweepRunner(workers=1, registry=reg).run(_tasks(2))
+    rows = SweepRunner(workers=1, registry=reg).run(_tasks(2)).rows
     assert len(rows) == 2
     snap = reg.snapshot()
     assert snap["sweep.tasks_completed"]["value"] == 2
@@ -52,9 +52,9 @@ def test_worker_metrics_merge_into_parent_registry():
 
 def test_pool_workers_reach_the_same_registry_totals():
     reg1 = MetricsRegistry()
-    rows1 = SweepRunner(workers=1, registry=reg1).run(_tasks(2))
+    rows1 = SweepRunner(workers=1, registry=reg1).run(_tasks(2)).rows
     reg2 = MetricsRegistry()
-    rows2 = SweepRunner(workers=2, registry=reg2).run(_tasks(2))
+    rows2 = SweepRunner(workers=2, registry=reg2).run(_tasks(2)).rows
     assert rows1 == rows2
     s1 = {k: v["value"] for k, v in reg1.snapshot().items()
           if v["type"] == "counter"}
@@ -65,8 +65,8 @@ def test_pool_workers_reach_the_same_registry_totals():
 
 def test_rows_and_jsonl_unchanged_by_metrics_plumbing():
     tasks = _tasks(2)
-    plain = SweepRunner(workers=1).run(tasks)
-    with_reg = SweepRunner(workers=1, registry=MetricsRegistry()).run(tasks)
+    plain = SweepRunner(workers=1).run(tasks).rows
+    with_reg = SweepRunner(workers=1, registry=MetricsRegistry()).run(tasks).rows
     assert plain == with_reg
     a = sweep_jsonl_lines(plain, matrix="m", master_seed=0)
     b = sweep_jsonl_lines(with_reg, matrix="m", master_seed=0)
