@@ -12,7 +12,7 @@ Run:  PYTHONPATH=src python examples/instrumented_run.py
 
 from repro.detect.online import OnlineVectorStrobeDetector
 from repro.net.delay import DeltaBoundedDelay
-from repro.obs import Observability, SpanTracer, instrument_system, render_console
+from repro.obs import MetricsRegistry, Observability, SpanTracer, instrument, render_console
 from repro.scenarios.smart_office import SmartOffice, SmartOfficeConfig
 
 DELTA = 0.2
@@ -28,13 +28,13 @@ def main() -> None:
     # One call instruments every layer; the sampler rides the kernel's
     # post-event hook, so the run's event order and RNG draws are
     # exactly what they would be without instrumentation.
-    obs = Observability(tracer=SpanTracer(office.system.sim))
-    instrument_system(office.system, obs, sample_every=200)
+    obs = Observability(registry=MetricsRegistry(), tracer=SpanTracer(office.system.sim))
+    instrument(office.system, obs, sample_every=200)
 
+    # Attaching to an instrumented process binds the detector too.
     detector = OnlineVectorStrobeDetector(
         office.system.sim, office.predicate, office.initials, delta=DELTA,
     )
-    detector.bind_obs(obs.registry)
     office.attach_detector(detector)
     detector.start()
 

@@ -255,23 +255,23 @@ def cmd_obs_run(args) -> int:
     from repro.detect.online import OnlineVectorStrobeDetector
     from repro.lattice.lattice import LatticeExplosion
     from repro.obs import (
+        MetricsRegistry,
         Observability,
         SpanTracer,
         export_csv,
         export_jsonl,
-        instrument_system,
+        instrument,
         render_console,
     )
 
     scenario, phi, initials = _build_obs_scenario(args.scenario, args)
     system = scenario.system
-    obs = Observability(tracer=SpanTracer(system.sim))
-    instrument_system(system, obs, sample_every=args.sample_every)
+    obs = Observability(registry=MetricsRegistry(), tracer=SpanTracer(system.sim))
+    instrument(system, obs, sample_every=args.sample_every)
 
     det = OnlineVectorStrobeDetector(
         system.sim, phi, initials, delta=max(args.delta, 0.0),
     )
-    det.bind_obs(obs.registry)
     scenario.attach_detector(det)
     det.start()
 
@@ -282,7 +282,7 @@ def cmd_obs_run(args) -> int:
 
     # Modal query over the same record stream: lattice metrics.
     lat = LatticeDetector(phi, initials, system.n, max_states=args.max_lattice)
-    lat.bind_obs(obs.registry)
+    lat.bind_observer(obs)
     lat.feed_many(det.store.all())
     with obs.tracer.span("lattice.modalities"):
         try:

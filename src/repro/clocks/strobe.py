@@ -37,7 +37,8 @@ from repro.clocks.scalar import ScalarTimestamp
 from repro.clocks.vector import FASTPATH_MAX_N, VectorTimestamp
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+    from repro.obs.instrument import Observability
+    from repro.obs.registry import Counter, Gauge, Histogram
 
 #: Buckets for the catch-up (skew) histograms: how many ticks a merge
 #: advanced the local clock by — powers of two up to 2^10.
@@ -45,7 +46,7 @@ _CATCHUP_BUCKETS = [0.0] + [float(2 ** k) for k in range(11)]
 
 
 class _StrobeObsMixin:
-    """Shared ``bind_obs`` for both strobe clock families.
+    """Shared ``bind_observer`` for both strobe clock families.
 
     All strobe clocks in a system share the same aggregate instruments
     (``clock.strobe.*``); per-clock handles default to ``None`` so the
@@ -58,7 +59,10 @@ class _StrobeObsMixin:
     _m_catchup: "Histogram | None" = None
     _m_skew: "Gauge | None" = None
 
-    def bind_obs(self, registry: "MetricsRegistry") -> None:
+    def bind_observer(self, obs: "Observability") -> None:
+        registry = obs.registry
+        if registry is None:
+            return
         self._m_emitted = registry.counter("clock.strobe.emitted")
         self._m_merged = registry.counter("clock.strobe.merged")
         self._m_payload = registry.counter("clock.strobe.payload_units")

@@ -39,7 +39,8 @@ import numpy as np
 from repro.clocks.base import Clock, ClockError, validate_pid
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.registry import Counter, MetricsRegistry
+    from repro.obs.instrument import Observability
+    from repro.obs.registry import Counter
 
 Ordering = Literal["<", ">", "=", "||"]
 
@@ -710,9 +711,12 @@ class VectorClock(Clock[VectorTimestamp]):
         self._m_merges: "Counter | None" = None
         self._m_piggyback: "Counter | None" = None
 
-    def bind_obs(self, registry: "MetricsRegistry") -> None:
+    def bind_observer(self, obs: "Observability") -> None:
         """Attach causality-clock metrics: VC1/VC2 ticks, VC3 merges,
         and piggyback units (each send carries the full n-vector)."""
+        registry = obs.registry
+        if registry is None:
+            return
         self._m_ticks = registry.counter("clock.vector.ticks")
         self._m_merges = registry.counter("clock.vector.merges")
         self._m_piggyback = registry.counter("clock.vector.piggyback_units")

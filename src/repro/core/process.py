@@ -158,8 +158,9 @@ class SensorProcess:
         self._rejoining = False
         #: (var, obj, attr, plain) per track() call — replayed on restart
         self._trackings: list[tuple[str, str, str, bool]] = []
-        # Trace handle (None = no-op fast path); survives restart() —
-        # the recorder outlives the process's volatile state.
+        # Observer and its trace handle (None = no-op fast path); both
+        # survive restart() — observers outlive volatile state.
+        self._observer = None
         self._trace = None
 
         net.register(pid, self._on_message)
@@ -208,10 +209,22 @@ class SensorProcess:
         """Register a handler for semantic messages of ``kind``."""
         self._app_handlers[kind] = handler
 
-    def bind_trace(self, recorder) -> None:
-        """Attach a flight recorder to this process's event log funnel
-        (c/n/a entries; s/r are recorded at the transport)."""
-        self._trace = recorder
+    @property
+    def observer(self):
+        """The bound :class:`~repro.obs.Observability`, or None."""
+        return self._observer
+
+    def bind_observer(self, obs) -> None:
+        """Attach an observer: the recorder taps this process's event
+        log funnel (c/n/a entries; s/r are recorded at the transport),
+        the registry counts its strobe and vector clocks.  Remembered:
+        :meth:`restart` binds the fresh clocks, and a detector attached
+        here binds with ``host`` = this pid."""
+        self._observer = obs
+        self._trace = obs.recorder
+        for clock in (self.strobe_scalar, self.strobe_vector, self.vector):
+            if clock is not None:
+                clock.bind_observer(obs)
 
     # ------------------------------------------------------------------
     # Event machinery
@@ -418,17 +431,15 @@ class SensorProcess:
         if cfg.vector:
             self.vector = VectorClock(self.pid, self.n)
         if cfg.strobe_scalar:
-            self.strobe_scalar = self._carry_obs(
-                StrobeScalarClock(self.pid), self.strobe_scalar
-            )
+            self.strobe_scalar = StrobeScalarClock(self.pid)
         if cfg.strobe_vector:
-            self.strobe_vector = self._carry_obs(
-                StrobeVectorClock(self.pid, self.n), self.strobe_vector
-            )
+            self.strobe_vector = StrobeVectorClock(self.pid, self.n)
         if cfg.physical_vector:
             self.physical_vector = PhysicalVectorClock(
                 self.pid, self.n, self.physical_clock
             )
+        if self._observer is not None:
+            self.bind_observer(self._observer)
         for var, obj, attr, plain in self._trackings:
             if plain:
                 # §4.2.2 reboot re-sample: restart re-reads tracked state
@@ -447,19 +458,6 @@ class SensorProcess:
             )
         else:
             self._reannounce()
-
-    @staticmethod
-    def _carry_obs(new_clock, old_clock):
-        # Restarted clocks keep the obs bindings of their predecessors
-        # (instrument_system ran at build time and won't run again).
-        if old_clock is not None:
-            for attr in (
-                "_m_emitted", "_m_merged", "_m_payload", "_m_catchup", "_m_skew",
-            ):
-                handle = getattr(old_clock, attr, None)
-                if handle is not None:
-                    setattr(new_clock, attr, handle)
-        return new_clock
 
     def _reannounce(self) -> None:
         """Re-announce every tracked variable (post-restart rejoin)."""

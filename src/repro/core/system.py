@@ -22,7 +22,6 @@ from repro.net.topology import Topology
 from repro.net.transport import Network
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecorder
 from repro.world.covert import CovertChannel
 from repro.world.objects import WorldState
 
@@ -61,7 +60,6 @@ class SystemConfig:
     mac: DutyCycleMAC | None = None
     strobe_transport: str = "overlay"    # or "flood" (multi-hop relay)
     strobe_every: int = 1                # broadcast every k-th relevant event
-    trace: bool = False                  # record sense/actuate events system-wide
 
 
 class PervasiveSystem:
@@ -97,10 +95,6 @@ class PervasiveSystem:
             mac=config.mac,
         )
         self.processes: list[SensorProcess] = []    # the P plane
-        #: optional system-wide trace of sensed records (oracle-side)
-        self.trace: TraceRecorder | None = (
-            TraceRecorder(self.sim) if config.trace else None
-        )
         drift_rng = self.rng.get("clocks", "drift")
         for pid in range(config.n_processes):
             phys = None
@@ -123,11 +117,6 @@ class PervasiveSystem:
                     strobe_every=config.strobe_every,
                 )
             )
-        if self.trace is not None:
-            for proc in self.processes:
-                proc.add_record_listener(
-                    lambda r, tr=self.trace: tr.record(f"p{r.pid}", "sense", r)
-                )
 
     # ------------------------------------------------------------------
     @property

@@ -102,6 +102,8 @@ class Detector:
     """
 
     name = "detector"
+    #: pid of the process this detector is attached to
+    _host = 0
 
     def __init__(self, predicate: Predicate, initials: Mapping[str, Any]) -> None:
         missing = [v for v in predicate.variables if v not in initials]
@@ -125,11 +127,19 @@ class Detector:
 
     def attach(self, process, *, local: bool = True, strobes: bool = True) -> None:
         """Tap a :class:`~repro.core.process.SensorProcess` so its
-        record streams flow into this detector."""
+        record streams flow into this detector, and bind the process's
+        observer (if any) with this detector hosted at its pid."""
         if local:
             process.add_record_listener(self.feed)
         if strobes:
             process.add_strobe_listener(self.feed)
+        self._host = process.pid
+        if process.observer is not None:
+            self.bind_observer(process.observer)
+
+    def bind_observer(self, obs) -> None:
+        """Attach an :class:`~repro.obs.Observability`; the base
+        detector has nothing to observe."""
 
     # -- finalization ----------------------------------------------------
     def finalize(self) -> list[Detection]:

@@ -75,10 +75,13 @@ class LatticeDetector(Detector):
         self._m_extends = None
         self._m_rebuilds = None
 
-    def bind_obs(self, registry) -> None:
+    def bind_observer(self, obs) -> None:
         """Attach lattice metrics: modal queries run, cuts enumerated,
         the size/width of the most recent lattice, and how often the
         incremental front was extended vs rebuilt."""
+        registry = obs.registry
+        if registry is None:
+            return
         self._m_queries = registry.counter("detect.lattice.queries")
         self._m_cuts = registry.counter("detect.lattice.cuts_evaluated")
         self._m_states = registry.gauge("detect.lattice.states")

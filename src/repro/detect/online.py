@@ -50,10 +50,11 @@ _LATENCY_BUCKETS = [10 ** (k / 2) for k in range(-6, 7)]
 
 
 class _OnlineObsMixin:
-    """Shared ``bind_obs`` for the online (watermark) detectors.
+    """Shared ``bind_observer`` for the online (watermark) detectors.
 
-    Aggregate ``detect.*`` instruments; handles default to ``None`` so
-    uninstrumented runs pay one ``is None`` test per operation.
+    Aggregate ``detect.*`` instruments and a flight-recorder handle;
+    handles default to ``None`` so uninstrumented runs pay one ``is
+    None`` test per operation.
     """
 
     _m_records = None
@@ -65,16 +66,14 @@ class _OnlineObsMixin:
     _m_quarantined = None
     _m_quarantine_events = None
     _trace = None
-    _trace_host = 0
 
-    def bind_trace(self, recorder, *, host: int = 0) -> None:
-        """Attach a flight recorder: every emission records a detection
-        entry (trigger key, label, emit time) at ``host`` — the process
-        this detector is attached to."""
-        self._trace = recorder
-        self._trace_host = int(host)
-
-    def bind_obs(self, registry) -> None:
+    def bind_observer(self, obs) -> None:
+        """The recorder gets a detection entry (trigger key, label, emit
+        time) per emission, at the host this detector is attached to."""
+        self._trace = obs.recorder
+        registry = obs.registry
+        if registry is None:
+            return
         self._m_records = registry.counter("detect.records")
         self._m_flushes = registry.counter("detect.flushes")
         self._m_processed = registry.counter("detect.processed")
@@ -361,7 +360,7 @@ class OnlineVectorStrobeDetector(_LivenessMixin, _OnlineObsMixin, VectorStrobeDe
                 if self._m_latency is not None:
                     self._m_latency.observe(now - d.trigger.true_time)
                 if self._trace is not None:
-                    self._trace.record_detection(d, now, self._trace_host)
+                    self._trace.record_detection(d, now, self._host)
             if self._m_processed is not None:
                 self._m_processed.inc()
         del full[prefix_len + stable:]       # drop the unstable tail
@@ -528,7 +527,7 @@ class OnlineScalarStrobeDetector(_LivenessMixin, _OnlineObsMixin, Detector):
                     if self._m_latency is not None:
                         self._m_latency.observe(now - det.trigger.true_time)
                     if self._trace is not None:
-                        self._trace.record_detection(det, now, self._trace_host)
+                        self._trace.record_detection(det, now, self._host)
                 self._prev = cur
             self._last_key = self._sort_key(rec)
             done += 1

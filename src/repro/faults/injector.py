@@ -37,7 +37,7 @@ from repro.sim.rng import RngRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import PervasiveSystem
-    from repro.obs.registry import MetricsRegistry
+    from repro.obs.instrument import Observability
     from repro.obs.tracer import SpanTracer
 
 
@@ -84,13 +84,15 @@ class FaultInjector:
     def seed(self) -> int:
         return self._seed
 
-    def bind_obs(
-        self, registry: "MetricsRegistry", tracer: "SpanTracer | None" = None
-    ) -> None:
+    def bind_observer(self, obs: "Observability") -> None:
+        """Count faults in ``obs.registry``; span each in ``obs.tracer``."""
+        self._tracer = obs.tracer
+        registry = obs.registry
+        if registry is None:
+            return
         self._m_injected = registry.counter("faults.injected")
         self._m_cleared = registry.counter("faults.cleared")
         self._m_active = registry.gauge("faults.active")
-        self._tracer = tracer
 
     # ------------------------------------------------------------------
     def arm(self) -> None:

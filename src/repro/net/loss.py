@@ -19,7 +19,7 @@ import numpy as np
 class LossModel(ABC):
     """Decides, per message, whether it is dropped.
 
-    ``bind_obs`` attaches drop accounting to a
+    ``bind_observer`` attaches drop accounting to the observer's
     :class:`~repro.obs.registry.MetricsRegistry`; unbound models pay a
     single ``is None`` test per decision (subclasses with richer state,
     e.g. :class:`GilbertElliottLoss`, add their own instruments).
@@ -27,8 +27,9 @@ class LossModel(ABC):
 
     _m_drops = None        # Counter | None — the no-op fast path
 
-    def bind_obs(self, registry) -> None:
-        self._m_drops = registry.counter("net.loss.drops")
+    def bind_observer(self, obs) -> None:
+        if obs.registry is not None:
+            self._m_drops = obs.registry.counter("net.loss.drops")
 
     @abstractmethod
     def drops(self, rng: np.random.Generator) -> bool:
@@ -105,10 +106,11 @@ class GilbertElliottLoss(LossModel):
     def in_bad_state(self) -> bool:
         return self._bad
 
-    def bind_obs(self, registry) -> None:
-        super().bind_obs(registry)
-        self._m_transitions = registry.counter("net.loss.burst_transitions")
-        self._m_bad = registry.gauge("net.loss.in_bad_state")
+    def bind_observer(self, obs) -> None:
+        super().bind_observer(obs)
+        if obs.registry is not None:
+            self._m_transitions = obs.registry.counter("net.loss.burst_transitions")
+            self._m_bad = obs.registry.gauge("net.loss.in_bad_state")
 
     def drops(self, rng: np.random.Generator) -> bool:
         # Transition first, then sample loss in the new state.

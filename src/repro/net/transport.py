@@ -196,9 +196,19 @@ class Network:
         self._loss_override = None
         self._loss_override_rng = None
 
-    def bind_obs(self, registry) -> None:
-        """Attach transport metrics (sends, deliveries, drops, delay
-        distribution, payload units); also binds the loss model."""
+    def bind_observer(self, obs) -> None:
+        """Attach an observer; also binds the loss model.
+
+        The registry counts sends, deliveries, drops, payload units and
+        the delay distribution.  The recorder gets a send entry with a
+        recorder-assigned mid per dispatch, a receive entry per
+        delivery, and a drop entry with its reason per drop branch.
+        """
+        self._trace = obs.recorder
+        self._loss.bind_observer(obs)
+        registry = obs.registry
+        if registry is None:
+            return
         self._m_sent = registry.counter("net.sent")
         self._m_delivered = registry.counter("net.delivered")
         self._m_drop_loss = registry.counter("net.dropped_loss")
@@ -210,13 +220,6 @@ class Network:
         self._m_delay = registry.histogram(
             "net.delay_s", buckets=[10 ** (k / 2) for k in range(-8, 5)]
         )
-        self._loss.bind_obs(registry)
-
-    def bind_trace(self, recorder) -> None:
-        """Attach a flight recorder: every dispatch records a send
-        entry with a recorder-assigned mid, every delivery a receive
-        entry, every drop branch a drop entry with its reason."""
-        self._trace = recorder
 
     # ------------------------------------------------------------------
     def send(

@@ -10,10 +10,13 @@ know about itself?  Three pieces:
 * :mod:`repro.obs.exporters` — JSONL event stream, CSV summary,
   console report, and ``BENCH_*.json`` benchmark documents.
 
-Instrumented components (kernel, transport, loss models, strobe and
-vector clocks, online/lattice detectors) expose ``bind_obs(registry)``;
-:func:`instrument_system` binds a whole
-:class:`~repro.core.system.PervasiveSystem` at once.  See
+One observer plane: an :class:`Observability` carries a registry, a
+span tracer and a :class:`~repro.trace.FlightRecorder`, each optional.
+Observed components (kernel, transport, loss models, processes, strobe
+and vector clocks, detectors, fault injector) expose
+``bind_observer(obs)``; :func:`instrument` binds a whole
+:class:`~repro.core.system.PervasiveSystem` at once, and a detector
+binds when it attaches to an instrumented process.  See
 docs/observability.md for the metric name catalogue.
 """
 
@@ -27,7 +30,7 @@ from repro.obs.exporters import (
     registry_from_jsonl,
     render_console,
 )
-from repro.obs.instrument import Observability, attach_sampler, instrument_system
+from repro.obs.instrument import Observability, instrument
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     Counter,
@@ -48,8 +51,7 @@ __all__ = [
     "SpanTracer",
     "Span",
     "Observability",
-    "instrument_system",
-    "attach_sampler",
+    "instrument",
     "export_jsonl",
     "read_jsonl",
     "registry_from_jsonl",

@@ -1,22 +1,26 @@
-"""Wiring helpers: attach a registry/tracer to a running system.
+"""The observer plane: one handle, one hook, one wiring call.
 
-Instrumented components each expose ``bind_obs(registry)`` and keep
-``None`` handles until bound (their hot paths then cost one ``is
-None`` test).  :func:`instrument_system` walks a
-:class:`~repro.core.system.PervasiveSystem` and binds every layer in
-one call; :class:`Observability` bundles the registry + tracer pair
-that the CLI, examples, and benchmarks pass around.
+An :class:`Observability` carries whatever observes a run: a metrics
+registry, a span tracer and a flight recorder, each optional.  Every
+observed component exposes ``bind_observer(obs)`` and keeps ``None``
+handles until bound (their hot paths then cost one ``is None`` test);
+a part that is ``None`` binds nothing, so a recorder-only observer
+pays no metric handle and a registry-only one records no trace.
+:func:`instrument` walks a :class:`~repro.core.system.PervasiveSystem`
+and binds every layer in one call.  Processes remember their
+observer: a restarted process binds its fresh clocks to it, and a
+detector attached to a process binds to it with ``host`` = that pid.
 
-The sampling hook (:func:`attach_sampler`) rides the kernel's
-*post-event* hook rather than a scheduled timer, so turning sampling
-on adds **zero** events to the simulation — event ordering and every
-RNG stream are untouched (the determinism test pins this).
+The sampler rides the kernel's *post-event* hook rather than a
+scheduled timer, so turning sampling on adds **zero** events to the
+simulation — event ordering and every RNG stream are untouched (the
+determinism test pins this).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.obs.registry import MetricsRegistry
@@ -25,22 +29,19 @@ from repro.obs.tracer import SpanTracer
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import PervasiveSystem
     from repro.sim.kernel import Simulator
+    from repro.trace.recorder import FlightRecorder
 
 
 @dataclass
 class Observability:
-    """A registry + tracer pair for one run."""
+    """The observers of one run; ``None`` means not bound."""
 
-    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
-    tracer: SpanTracer = field(default_factory=SpanTracer)
-
-    @classmethod
-    def for_sim(cls, sim: "Simulator") -> "Observability":
-        """An Observability whose tracer auto-stamps sim time."""
-        return cls(tracer=SpanTracer(sim))
+    registry: MetricsRegistry | None = None
+    tracer: SpanTracer | None = None
+    recorder: "FlightRecorder | None" = None
 
 
-def attach_sampler(
+def _attach_sampler(
     sim: "Simulator", registry: MetricsRegistry, *, every_events: int = 1000
 ) -> None:
     """Sample all scalar metric values every ``every_events`` fired
@@ -59,39 +60,29 @@ def attach_sampler(
     sim.add_post_hook(hook)
 
 
-def instrument_system(
+def instrument(
     system: "PervasiveSystem",
-    obs: Observability | MetricsRegistry,
+    obs: Observability,
     *,
     sample_every: int | None = None,
-) -> Observability:
-    """Bind instrumentation through every layer of ``system``.
+) -> None:
+    """Bind ``obs`` through every layer of ``system``.
 
-    Binds the kernel (events, heap depth, callback wall time), the
-    network transport and its loss model, and every process's strobe /
-    vector clocks.  Detectors are bound individually (they are attached
-    after system construction): ``detector.bind_obs(obs.registry)``.
-
-    Returns the :class:`Observability` (constructing one around a bare
-    registry if needed) so call sites can do::
-
-        obs = instrument_system(system, MetricsRegistry())
+    Binds the kernel, the world plane (recorder only), the transport
+    and its loss model, and every process with its clocks.  Detectors
+    bind when they attach to an instrumented process, so instrument
+    first and attach after.  ``sample_every`` needs a registry.
     """
-    if isinstance(obs, MetricsRegistry):
-        obs = Observability(registry=obs, tracer=SpanTracer(system.sim))
-    reg = obs.registry
-    system.sim.bind_obs(reg)
-    system.net.bind_obs(reg)
+    if sample_every is not None and obs.registry is None:
+        raise ValueError("sample_every needs an observer with a registry")
+    system.sim.bind_observer(obs)
+    if obs.recorder is not None:
+        system.world.add_listener(obs.recorder.record_world)
+    system.net.bind_observer(obs)
     for proc in system.processes:
-        if proc.strobe_scalar is not None:
-            proc.strobe_scalar.bind_obs(reg)
-        if proc.strobe_vector is not None:
-            proc.strobe_vector.bind_obs(reg)
-        if proc.vector is not None:
-            proc.vector.bind_obs(reg)
+        proc.bind_observer(obs)
     if sample_every is not None:
-        attach_sampler(system.sim, reg, every_events=sample_every)
-    return obs
+        _attach_sampler(system.sim, obs.registry, every_events=sample_every)
 
 
-__all__ = ["Observability", "instrument_system", "attach_sampler"]
+__all__ = ["Observability", "instrument"]

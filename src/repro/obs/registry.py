@@ -6,7 +6,7 @@ components hold *bound handles* (a :class:`Counter`, :class:`Gauge` or
 etc., so the per-event cost of an enabled metric is one attribute
 access plus an integer add — and the cost of a *disabled* one is a
 single ``is None`` test (components default their handles to ``None``
-until ``bind_obs`` is called).  Nothing in this module reads the
+until ``bind_observer`` is called).  Nothing in this module reads the
 simulation clock or any RNG: attaching a registry can never perturb
 event ordering or random draws (tests/obs/test_determinism.py).
 

@@ -349,7 +349,8 @@ def run_counterfactual(
     from repro.replay.families import build_detector
     from repro.scenarios.builders import build_scenario
     from repro.sim.schedule import RecordedSchedule
-    from repro.trace import CausalGraph, FlightRecorder, instrument_trace
+    from repro.obs import Observability, instrument
+    from repro.trace import CausalGraph, FlightRecorder
     from repro.trace.export import read_trace
 
     from repro.replay.engine import ReplayEngine
@@ -378,7 +379,7 @@ def run_counterfactual(
         raise ReplayError(str(exc)) from exc
     system = scenario.system
     recorder = FlightRecorder(system.sim, capacity=cf_manifest.capacity)
-    instrument_trace(system, recorder)
+    instrument(system, Observability(recorder=recorder))
     bound = build_detector(
         cf_manifest, scenario, phi, initials, recorder=recorder, host=0
     )

@@ -85,7 +85,8 @@ class PreparedExecution:
 def prepare_execution(manifest: RunManifest) -> PreparedExecution:
     """Build and wire (but do not run) the manifest's scenario."""
     from repro.scenarios.builders import build_scenario
-    from repro.trace import FlightRecorder, instrument_trace
+    from repro.obs import Observability, instrument
+    from repro.trace import FlightRecorder
 
     try:
         scenario, phi, initials = build_scenario(
@@ -95,7 +96,7 @@ def prepare_execution(manifest: RunManifest) -> PreparedExecution:
         raise ReplayError(str(exc)) from exc
     system = scenario.system
     recorder = FlightRecorder(system.sim, capacity=manifest.capacity)
-    instrument_trace(system, recorder)
+    instrument(system, Observability(recorder=recorder))
     bound = build_detector(
         manifest, scenario, phi, initials, recorder=recorder, host=0
     )

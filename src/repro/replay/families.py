@@ -10,7 +10,8 @@ counterfactual clock swap is nothing more than re-running with a
 different registry entry.
 
 Online families detect *during* the run and log detections through
-``bind_trace`` at emission time; offline families sort the complete
+the recorder they bind when they attach to an instrumented host
+process, at emission time; offline families sort the complete
 record stream *after* the run, so their detections are logged at
 finalize with ``emit_time`` = end of run (there is no meaningful
 earlier emission instant for a post-hoc replay detector).
@@ -67,7 +68,9 @@ def build_detector(
     host: int = 0,
 ) -> BoundDetector:
     """Build, attach and (for online families) start the manifest's
-    clock family on ``scenario``; bind it to ``recorder`` if given."""
+    clock family on ``scenario``.  Attaching binds an online detector
+    to the host process's observer; an offline one logs its detections
+    to ``recorder`` at finalize."""
     family = manifest.clock_family
     if family not in CLOCK_FAMILIES:
         raise ValueError(f"unknown clock family {family!r}")
@@ -88,8 +91,6 @@ def build_detector(
             check_period=manifest.check_period,
             liveness_horizon=manifest.liveness_horizon,
         )
-        if recorder is not None:
-            det.bind_trace(recorder, host=host)
         scenario.attach_detector(det, host=host)
         det.start()
         return BoundDetector(det, online=True, host=host, recorder=recorder)

@@ -20,6 +20,10 @@ Design notes
   it; clock objects in :mod:`repro.clocks` mediate all access, which
   is how the paper's "processes have no synchronized clock" constraint
   is enforced in software.
+* The kernel records nothing itself: observers (metrics registry,
+  post-event sampler) bind through ``Simulator.bind_observer`` and
+  :func:`repro.obs.instrument`; the flight recorder lives in
+  :mod:`repro.trace`.
 """
 
 from repro.sim.kernel import (
@@ -30,7 +34,6 @@ from repro.sim.kernel import (
 )
 from repro.sim.rng import RngRegistry, substream_seed
 from repro.sim.timers import Timer, PeriodicTimer
-from repro.sim.trace import TraceRecorder, TraceEntry
 
 __all__ = [
     "Simulator",
@@ -41,6 +44,4 @@ __all__ = [
     "substream_seed",
     "Timer",
     "PeriodicTimer",
-    "TraceRecorder",
-    "TraceEntry",
 ]

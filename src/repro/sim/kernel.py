@@ -22,6 +22,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.instrument import Observability
     from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 
 
@@ -198,10 +199,13 @@ class Simulator:
         """Register a hook called after every fired event (tracing)."""
         self._post_hooks.append(hook)
 
-    def bind_obs(self, registry: "MetricsRegistry") -> None:
+    def bind_observer(self, obs: "Observability") -> None:
         """Attach kernel metrics (events fired, heap depth, callback
-        wall time).  Unbound, the run loop pays one ``is None`` test
-        per event — the no-op fast path."""
+        wall time) from ``obs.registry``.  Unbound, the run loop pays
+        one ``is None`` test per event — the no-op fast path."""
+        registry = obs.registry
+        if registry is None:
+            return
         self._m_fired = registry.counter("kernel.events_fired")
         self._m_heap = registry.gauge("kernel.heap_depth")
         self._m_cb_wall = registry.histogram("kernel.callback_wall_s")

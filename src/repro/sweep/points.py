@@ -152,16 +152,15 @@ def strobe_cost(
     system = PervasiveSystem(SystemConfig(
         n_processes=E07_N, seed=seed, delay=DeltaBoundedDelay(0.1), clocks=clocks,
     ))
-    if registry is not None:
-        from repro.obs import instrument_system
-
-        instrument_system(system, registry)
     recorder = None
     if trace_capacity is not None:
-        from repro.trace import FlightRecorder, instrument_trace
+        from repro.trace import FlightRecorder
 
         recorder = FlightRecorder(system.sim, capacity=trace_capacity)
-        instrument_trace(system, recorder)
+    if registry is not None or recorder is not None:
+        from repro.obs import Observability, instrument
+
+        instrument(system, Observability(registry=registry, recorder=recorder))
     gens = []
     for i in range(E07_N):
         system.world.create(f"obj{i}", level=0)

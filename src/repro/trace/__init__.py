@@ -1,10 +1,13 @@
 """repro.trace — causal flight recorder, happens-before reconstruction,
 Perfetto export, and detection-latency attribution.
 
-See ``docs/tracing.md`` for the subsystem guide.  Like ``repro.obs``,
-this package is *passive*: it never schedules events, consumes RNG, or
-reads the wall clock (OBS001 enforces this statically), so attaching a
-recorder cannot change a run.
+The recorder is the ``recorder`` part of a
+:class:`repro.obs.Observability`; :func:`repro.obs.instrument` binds it
+together with any registry and tracer.  See ``docs/tracing.md`` for
+the subsystem guide.  Like ``repro.obs``, this package is *passive*:
+it never schedules events, consumes RNG, or reads the wall clock
+(OBS001 enforces this statically), so attaching a recorder cannot
+change a run.
 """
 
 from repro.trace.export import (
@@ -25,7 +28,6 @@ from repro.trace.export import (
     write_trace,
 )
 from repro.trace.graph import CausalGraph, TraceError
-from repro.trace.instrument import instrument_trace
 from repro.trace.recorder import (
     DROP_REASONS,
     KINDS,
@@ -53,7 +55,6 @@ __all__ = [
     "write_trace",
     "CausalGraph",
     "TraceError",
-    "instrument_trace",
     "DROP_REASONS",
     "KINDS",
     "FlightRecorder",

@@ -1,9 +1,11 @@
 """The causal flight recorder — bounded per-process event rings.
 
-A :class:`FlightRecorder` taps the execution at two levels via the
-same ``bind_obs``-style None-guarded hooks the metrics layer uses
-(``SensorProcess.bind_trace``, ``Network.bind_trace``,
-``OnlineVectorStrobeDetector.bind_trace``):
+A :class:`FlightRecorder` is the ``recorder`` part of a
+:class:`~repro.obs.Observability`.  Bound by
+:func:`repro.obs.instrument`, it taps the execution through the same
+None-guarded ``bind_observer`` hooks the metrics registry uses
+(``SensorProcess``, ``Network``, and the online detectors, which bind
+when they attach to a process) at two levels:
 
 * **process events** — compute / sense / actuate entries, straight
   from the process's ``_log`` funnel, carrying the stamping clocks'

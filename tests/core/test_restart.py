@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.process import ClockConfig
 from repro.core.system import PervasiveSystem, SystemConfig
+from repro.obs import MetricsRegistry, Observability, instrument
 
 
 def make_system(n=3, seed=0, **kw):
@@ -168,3 +169,40 @@ def test_double_restart_cycles():
     sys_.run(until=6.0)
     assert p1.restarts == 2
     assert not p1.crashed
+
+
+CLOCK_COUNTERS = (
+    "clock.vector.ticks", "clock.vector.merges", "clock.vector.piggyback_units",
+    "clock.strobe.emitted", "clock.strobe.merged",
+)
+
+
+def counter_deltas_after(restart: bool) -> dict:
+    """Counter deltas of one scripted exchange after an optional
+    fail-recover restart of p1 in an instrumented system."""
+    sys_ = make_system(n=2, clocks=ClockConfig(vector=True, strobe_vector=True))
+    reg = MetricsRegistry()
+    instrument(sys_, Observability(registry=reg))
+    p0, p1 = sys_.processes
+    poke(sys_, 1.0, [1, 1])
+    sys_.run(until=2.0)
+    if restart:
+        p1.crash(mode="recover")
+        p1.restart()
+    sys_.run(until=3.0)
+    before = {name: reg.counter(name).value for name in CLOCK_COUNTERS}
+    p1.on_sense("x1", 2)
+    p1.send_app(0, "ping")
+    p0.send_app(1, "pong")
+    p0.on_sense("x0", 2)
+    sys_.run(until=4.0)
+    return {name: reg.counter(name).value - before[name] for name in CLOCK_COUNTERS}
+
+
+def test_restarted_clocks_keep_counting():
+    # The rebuilt vector and strobe clocks bind to the process's
+    # observer, so the restarted run counts exactly what a run without
+    # the restart counts for the same exchange.
+    deltas = counter_deltas_after(restart=True)
+    assert deltas == counter_deltas_after(restart=False)
+    assert all(v > 0 for v in deltas.values()), deltas

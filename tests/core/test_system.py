@@ -98,21 +98,3 @@ def test_quadruple_end_to_end_sense_respond_loop():
     s.sim.schedule_at(2.0, lambda: s.world.set_attribute("room", "motion", True))
     s.run()
     assert s.world.get("ac").get("on") is True
-
-
-def test_system_trace_records_sensed_events():
-    s = PervasiveSystem(SystemConfig(n_processes=2, trace=True))
-    s.world.create("obj", v=0)
-    s.processes[1].track("v", "obj", "v", initial=0)
-    s.world.set_attribute("obj", "v", 1)
-    s.run()
-    assert s.trace is not None
-    entries = s.trace.entries(kind="sense")
-    assert len(entries) == 1
-    assert entries[0].source == "p1"
-    assert entries[0].data.value == 1
-
-
-def test_system_trace_disabled_by_default():
-    s = PervasiveSystem(SystemConfig(n_processes=1))
-    assert s.trace is None

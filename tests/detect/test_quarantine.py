@@ -4,7 +4,7 @@ under crash faults: silent processes are flagged, not waited on)."""
 import pytest
 
 from repro.detect.online import OnlineScalarStrobeDetector, OnlineVectorStrobeDetector
-from repro.obs.registry import MetricsRegistry
+from repro.obs import MetricsRegistry, Observability
 from repro.predicates.relational import SumThresholdPredicate
 from repro.sim.kernel import Simulator
 
@@ -92,7 +92,7 @@ def test_quarantine_metrics_are_exported(rec):
     sim = Simulator()
     det = make(OnlineVectorStrobeDetector, sim, horizon=3.0)
     registry = MetricsRegistry()
-    det.bind_obs(registry)
+    det.bind_observer(Observability(registry=registry))
     feed_at(sim, det, rec, 1.0, 0, "x")
     feed_at(sim, det, rec, 1.0, 1, "y")
     for t in (3.0, 5.0, 7.0):

@@ -8,7 +8,7 @@ from repro.core.process import ClockConfig
 from repro.core.system import PervasiveSystem, SystemConfig
 from repro.faults import FaultError, FaultEvent, FaultInjector, FaultPlan
 from repro.net.delay import DeltaBoundedDelay
-from repro.obs.registry import MetricsRegistry
+from repro.obs import MetricsRegistry, Observability
 
 
 def make_system(n=3, seed=0, clocks=None, physical=False):
@@ -246,14 +246,14 @@ def test_injector_seed_defaults_to_system_seed():
     assert FaultInjector(sys_, plan_of(), seed=7).seed == 7
 
 
-def test_bind_obs_counts_injected_and_cleared():
+def test_bind_observer_counts_injected_and_cleared():
     sys_ = make_system()
     reg = MetricsRegistry()
     inj = FaultInjector(sys_, plan_of(
         FaultEvent(1.0, "crash", {"pid": 1, "mode": "recover"}, duration=2.0),
         FaultEvent(5.0, "strobe_perturb", {"pid": 0, "ticks": 1}),
     ))
-    inj.bind_obs(reg)
+    inj.bind_observer(Observability(registry=reg))
     inj.arm()
     sys_.run(until=10.0)
     assert reg.counter("faults.injected").value == 2

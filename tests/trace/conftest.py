@@ -6,7 +6,8 @@ from repro.core.process import ClockConfig
 from repro.detect.online import OnlineVectorStrobeDetector
 from repro.net.delay import DeltaBoundedDelay
 from repro.scenarios.exhibition_hall import ExhibitionHall, ExhibitionHallConfig
-from repro.trace import FlightRecorder, instrument_trace
+from repro.obs import Observability, instrument
+from repro.trace import FlightRecorder
 
 DELTA = 0.2
 DURATION = 60.0
@@ -26,13 +27,11 @@ def record_hall(seed=0, *, capacity=65536, duration=DURATION, recorder=True):
     rec = None
     if recorder:
         rec = FlightRecorder(system.sim, capacity=capacity)
-        instrument_trace(system, rec)
+        instrument(system, Observability(recorder=rec))
     det = OnlineVectorStrobeDetector(
         system.sim, hall.predicate, hall.initials, delta=DELTA,
     )
-    if rec is not None:
-        det.bind_trace(rec, host=HOST)
-    hall.attach_detector(det)
+    hall.attach_detector(det, host=HOST)
     det.start()
     hall.run(duration)
     det.finalize()
