@@ -48,7 +48,10 @@ KEY_FIELDS = ("detector", "m", "option", "params", "seed", "phase")
 #: * the vector-strobe race machinery against the physical-clock scan
 #:   (historically ~10x before the batched-kernel work; now ~2-4x);
 #: * vector-strobe scaling from m=1000 to m=20000: linear is 20x, the
-#:   dense O(m²·n) race kernel measured ~64x.
+#:   dense O(m²·n) race kernel measured ~64x;
+#: * online flush scaling over the same range: 30x is a per-record cost
+#:   at most 1.5x the m=1000 one (the dense per-flush block it replaced
+#:   grew it ~1.7x from m=1000 to m=20000; the chain walk, ~1.1x).
 GAP_RULES = (
     {
         "file": "BENCH_detector_throughput.json",
@@ -60,6 +63,12 @@ GAP_RULES = (
         "slow": {"detector": "vector_strobe", "m": 20000},
         "fast": {"detector": "vector_strobe", "m": 1000},
         "max_gap": 40.0,
+    },
+    {
+        "file": "BENCH_detector_phases.json",
+        "slow": {"detector": "online_vector_strobe", "m": 20000, "phase": "flush"},
+        "fast": {"detector": "online_vector_strobe", "m": 1000, "phase": "flush"},
+        "max_gap": 30.0,
     },
 )
 

@@ -25,14 +25,15 @@ components that all fit in ``64 // n - 1`` bits additionally carry a
 **packed int64 encoding** (:meth:`VectorTimestamp.packed`): the
 components bit-packed into one word with a guard bit per field, so a
 dominance check is a single subtract-and-mask (SWAR) instead of n
-comparisons — pairwise and, through :func:`pack_matrix`, inside the
-batch kernels.  Component overflow falls back to the component-matrix
-kernels transparently (tests/clocks/test_packed.py pins equivalence).
+comparisons — pairwise (also over bare words, :func:`packed_le`) and,
+through :func:`pack_matrix`, inside the batch kernels.  Component
+overflow falls back to the component-matrix kernels transparently
+(tests/clocks/test_packed.py pins equivalence).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -407,6 +408,13 @@ def pack_matrix(vecs: "np.ndarray") -> "np.ndarray | None":
 _PACKED_CHUNK_ELEMS = 1 << 16
 
 
+def packed_le(n: int) -> "Callable[[int, int], bool]":
+    """Pairwise SWAR dominance over width-``n`` packed words:
+    ``le(a.packed(), b.packed())`` ⇔ ``a <= b``."""
+    g = _PACK_GUARD[n]
+    return lambda a, b: ((b | g) - a) & g == g
+
+
 def _packed_leq(
     a_packed: "np.ndarray", b_packed: "np.ndarray", n: int
 ) -> "np.ndarray":
@@ -439,12 +447,7 @@ def _sliced_leq(a_vecs: "np.ndarray", b_vecs: "np.ndarray") -> "np.ndarray":
     return leq
 
 
-def dominates_matrix(
-    timestamps: Sequence[VectorTimestamp],
-    *,
-    vecs: "np.ndarray | None" = None,
-    packed: "np.ndarray | None" = None,
-) -> "np.ndarray":
+def dominates_matrix(timestamps: Sequence[VectorTimestamp]) -> "np.ndarray":
     """Boolean m×m matrix ``leq[i, j] ⇔ timestamps[i] ≤ timestamps[j]``.
 
     Three kernels, chosen by width: packed-SWAR when the set fits the
@@ -452,18 +455,14 @@ def dominates_matrix(
     component-sliced for other narrow vectors (n two-D compares, no
     (m, m, n) intermediate), and a chunked 3-D broadcast for wide ones
     so peak memory stays bounded by :data:`_CHUNK_ELEMS` elements.
-    ``vecs``/``packed`` accept precomputed representations (the online
-    detector maintains them incrementally across flushes).
     """
-    if vecs is None:
-        vecs = stack_timestamps(timestamps)
+    vecs = stack_timestamps(timestamps)
     m = vecs.shape[0]
     if m == 0:
         return np.zeros((0, 0), dtype=bool)
     n = vecs.shape[1]
     if n <= PACKED_MAX_N:
-        if packed is None:
-            packed = pack_matrix(vecs)
+        packed = pack_matrix(vecs)
         if packed is not None:
             return _packed_leq(packed, packed, n)
         return _sliced_leq(vecs, vecs)
@@ -610,59 +609,6 @@ def chain_concurrency_csr(
     return cols.astype(np.intp, copy=False), indptr
 
 
-def dominates_block(
-    a_vecs: "np.ndarray",
-    b_vecs: "np.ndarray",
-    *,
-    a_packed: "np.ndarray | None" = None,
-    b_packed: "np.ndarray | None" = None,
-) -> "np.ndarray":
-    """Rectangular dominance: ``leq[i, j] ⇔ a[i] ≤ b[j]`` for two
-    stacked windows (the suffix-vs-prefix shape of the incremental
-    online flush).  ``a_packed``/``b_packed`` take precomputed packed
-    words; both must be given (and consistent) to hit the SWAR kernel.
-    """
-    la, lb = a_vecs.shape[0], b_vecs.shape[0]
-    if la == 0 or lb == 0:
-        return np.zeros((la, lb), dtype=bool)
-    n = a_vecs.shape[1]
-    if b_vecs.shape[1] != n:
-        raise ClockError(f"vector width mismatch: {n} vs {b_vecs.shape[1]}")
-    if a_packed is not None and b_packed is not None:
-        return _packed_leq(a_packed, b_packed, n)
-    if n <= PACKED_MAX_N:
-        pa, pb = pack_matrix(a_vecs), pack_matrix(b_vecs)
-        if pa is not None and pb is not None:
-            return _packed_leq(pa, pb, n)
-        return _sliced_leq(a_vecs, b_vecs)
-    if n <= PACKED_MAX_N * 4:
-        return _sliced_leq(a_vecs, b_vecs)
-    leq = np.empty((la, lb), dtype=bool)
-    rows = max(1, _CHUNK_ELEMS // max(1, lb * n))
-    for lo in range(0, la, rows):
-        hi = min(la, lo + rows)
-        np.all(a_vecs[lo:hi, None, :] <= b_vecs[None, :, :], axis=2, out=leq[lo:hi])
-    return leq
-
-
-def concurrency_block(
-    a_vecs: "np.ndarray",
-    b_vecs: "np.ndarray",
-    *,
-    a_packed: "np.ndarray | None" = None,
-    b_packed: "np.ndarray | None" = None,
-) -> "np.ndarray":
-    """Rectangular concurrency: ``conc[i, j]`` iff ``a[i] || b[j]``.
-
-    The caller is responsible for masking self-pairs when the windows
-    overlap (a block kernel cannot know which rows alias which
-    columns).
-    """
-    leq = dominates_block(a_vecs, b_vecs, a_packed=a_packed, b_packed=b_packed)
-    geq = dominates_block(b_vecs, a_vecs, a_packed=b_packed, b_packed=a_packed)
-    return ~(leq | geq.T)
-
-
 def merge_many(timestamps: Sequence[VectorTimestamp]) -> VectorTimestamp:
     """Join (component-wise max) of m ≥ 1 timestamps in one pass."""
     ts = list(timestamps)
@@ -782,10 +728,9 @@ __all__ = [
     "packed_capacity",
     "stack_timestamps",
     "pack_matrix",
+    "packed_le",
     "dominates_matrix",
-    "dominates_block",
     "concurrency_matrix",
     "chain_concurrency_csr",
-    "concurrency_block",
     "merge_many",
 ]

@@ -27,17 +27,11 @@ transient-loss behaviour.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Mapping
 
-import numpy as np
-
 from repro.clocks.base import ClockError
-from repro.clocks.vector import (
-    PACKED_MAX_N,
-    concurrency_block,
-    pack_matrix,
-    stack_timestamps,
-)
+from repro.clocks.vector import PACKED_MAX_N, packed_le
 from repro.core.records import SensedEventRecord
 from repro.detect.base import Detection, DetectionLabel, Detector
 from repro.detect.strobe_vector import VectorStrobeDetector
@@ -47,6 +41,25 @@ from repro.sim.timers import PeriodicTimer
 
 #: Buckets for detection-latency histograms (simulated seconds).
 _LATENCY_BUCKETS = [10 ** (k / 2) for k in range(-6, 7)]
+
+
+def _chain_into(
+    chains: list[list[int]], by_pid: dict[int, list[int]], pid: int,
+    pos: int, keys: list[Any], le,
+) -> int:
+    """Append index ``pos`` to the newest chain of ``pid`` whose last
+    key is ``le`` ``keys[pos]``, or open a new chain, so every chain's
+    keys stay non-decreasing; returns the chain's id."""
+    ids = by_pid.setdefault(pid, [])
+    key = keys[pos]
+    for c in reversed(ids):
+        chain = chains[c]
+        if le(keys[chain[-1]], key):
+            chain.append(pos)
+            return c
+    ids.append(len(chains))
+    chains.append([pos])
+    return ids[-1]
 
 
 class _OnlineObsMixin:
@@ -188,12 +201,14 @@ class OnlineVectorStrobeDetector(_LivenessMixin, _OnlineObsMixin, VectorStrobeDe
         self._pending: list[SensedEventRecord] = []
         #: arrivals since the last flush (unsorted)
         self._new: list[SensedEventRecord] = []
-        # Growing stamp buffers over the linearization (processed prefix
-        # persists; suffix rows are rewritten each flush).
+        # Race search state over the processed prefix: a compare key per
+        # linearization index (the packed word while every stamp packs,
+        # else the stamp) under ``_le``, and monotone chains of indices.
         self._vec_width: int | None = None
-        self._vecs: "np.ndarray | None" = None        # (cap, n) int64
-        self._packed_buf: "np.ndarray | None" = None  # (cap,) uint64
-        self._packed_ok = False
+        self._le = operator.le
+        self._keys: list[Any] = []
+        self._chains: list[list[int]] = []
+        self._pid_chains: dict[int, list[int]] = {}
         self.late_records = 0
         #: (detection, emit_time) pairs for latency analysis
         self.emissions: list[tuple[Detection, float]] = []
@@ -218,23 +233,6 @@ class OnlineVectorStrobeDetector(_LivenessMixin, _OnlineObsMixin, VectorStrobeDe
                 self._m_records.inc()
 
     # ------------------------------------------------------------------
-    def _ensure_rows(self, total: int) -> "np.ndarray":
-        """Grow the stamp buffers to at least ``total`` rows, preserving
-        the processed prefix (suffix rows are transient per flush)."""
-        vecs = self._vecs
-        if vecs is not None and vecs.shape[0] >= total:
-            return vecs
-        cap = max(256, total, 0 if vecs is None else 2 * vecs.shape[0])
-        keep = len(self._processed)
-        grown = np.empty((cap, self._vec_width), dtype=np.int64)
-        packed = np.empty(cap, dtype=np.uint64)
-        if vecs is not None and keep:
-            grown[:keep] = vecs[:keep]
-            packed[:keep] = self._packed_buf[:keep]
-        self._vecs = grown
-        self._packed_buf = packed
-        return grown
-
     def _absorb_new(self) -> None:
         """Fold arrivals since the last flush into the sorted pending
         list, counting (and dropping) late records.
@@ -274,12 +272,11 @@ class OnlineVectorStrobeDetector(_LivenessMixin, _OnlineObsMixin, VectorStrobeDe
         """Advance the watermark: process every record whose position in
         the linearization is final.
 
-        Incremental: each flush touches only the pending suffix — new
-        arrivals are merged into the sorted pending list, the stable
-        prefix is found by one scan, and concurrency is computed as an
-        (stable × all) block against incrementally-maintained stacked
-        (and, for n ≤ 8, packed) stamp buffers.  The processed prefix is
-        never revisited."""
+        Incremental: new arrivals are merged into the sorted pending
+        list, the stable prefix is found by one scan, and each released
+        record's race partners come from :meth:`_race_lists`, a walk
+        over monotone chains costing O(C + race) per record for C
+        chains.  The processed prefix is never revisited."""
         now = self._sim.now
         self._update_quarantine(now)
         if self._m_flushes is not None:
@@ -300,41 +297,85 @@ class OnlineVectorStrobeDetector(_LivenessMixin, _OnlineObsMixin, VectorStrobeDe
         if self._m_backlog is not None:
             self._m_backlog.set(len(self.store) - len(self._processed))
 
-    def _flush_stable(self, suffix: list[SensedEventRecord], stable: int, now: float) -> None:
-        """Process the ``stable``-length prefix of ``suffix`` (racing
-        against the whole linearization, including unstable records)."""
-        prefix_len = len(self._processed)
-        svecs = stack_timestamps([r.strobe_vector for r in suffix])
-        n = svecs.shape[1]
-        if self._vec_width is None:
-            self._vec_width = n
-            self._packed_ok = 1 <= n <= PACKED_MAX_N
-        elif n != self._vec_width:
-            raise ClockError(f"vector width mismatch: {self._vec_width} vs {n}")
-        total = prefix_len + len(suffix)
-        vecs = self._ensure_rows(total)
-        vecs[prefix_len:total] = svecs
-        if self._packed_ok:
-            spacked = pack_matrix(svecs)
-            if spacked is None:              # component overflow: fall back
-                self._packed_ok = False
-            else:
-                self._packed_buf[prefix_len:total] = spacked
-        if self._packed_ok:
-            conc = concurrency_block(
-                vecs[prefix_len:prefix_len + stable], vecs[:total],
-                a_packed=self._packed_buf[prefix_len:prefix_len + stable],
-                b_packed=self._packed_buf[:total],
-            )
-        else:
-            conc = concurrency_block(vecs[prefix_len:prefix_len + stable], vecs[:total])
-        # Self-pairs (row k vs column prefix_len + k) compare a record
-        # with its own stamp: equal timestamps are mutually ≤, never
-        # concurrent — no masking needed.
-        cols, indptr = self._race_csr(conc)
-        cols = cols.tolist()
-        bounds = indptr.tolist()
+    def _suffix_keys(self, suffix: list[SensedEventRecord]) -> list[Any]:
+        """Compare keys of the pending ``suffix`` under ``_le``: packed
+        words while every stamp seen packs, else the stamps themselves
+        (the first unpackable stamp switches the detector for good)."""
+        stamps = [r.strobe_vector for r in suffix]
+        width = self._vec_width
+        if width is None:
+            width = self._vec_width = stamps[0].n
+            if width <= PACKED_MAX_N:
+                self._le = packed_le(width)
+        for ts in stamps:
+            if ts.n != width:
+                raise ClockError(f"vector width mismatch: {width} vs {ts.n}")
+        if self._le is not operator.le:
+            words = [ts.packed() for ts in stamps]
+            if None not in words:
+                return words
+            self._le = operator.le
+            self._keys = [r.strobe_vector for r in self._processed]
+        return stamps
 
+    def _race_lists(self, suffix: list[SensedEventRecord], stable: int) -> list[list[int]]:
+        """Per record of the ``stable``-length prefix of ``suffix`` (the
+        sorted pending records), the ascending linearization indices of
+        the records it races; the released records join the processed
+        chains.
+
+        Records x and y race iff neither stamp dominates.  A record y
+        sorting before x in (sum, pid, seq) cannot have ``x < y`` (its
+        sum would be larger), so it races x iff ``not y <= x``; a record
+        sorting after x races it iff ``not x <= y``.  Both sets are
+        searched per *chain*: records in linearization order whose
+        stamps never decrease, as one process's are between clock
+        resets.  Along a chain ``y <= x`` holds on a prefix and ``x <=
+        y`` on a suffix, so x's earlier partners are a tail of each
+        processed chain (walk back to the first ``y <= x``) and its
+        later ones a head of each pending chain (walk forward to the
+        first ``x <= y``).  That is O(C + race) per released record for
+        C chains, however long the processed history.
+        """
+        prefix_len = len(self._processed)
+        skeys = self._suffix_keys(suffix)
+        le = self._le
+        keys = self._keys
+        chains = self._chains
+        pchains: list[list[int]] = []        # pending chains, suffix positions
+        by_pid: dict[int, list[int]] = {}
+        member = [
+            _chain_into(pchains, by_pid, r.pid, k, skeys, le)
+            for k, r in enumerate(suffix)
+        ]
+        released = [0] * len(pchains)        # released head per pending chain
+        races = []
+        for k in range(stable):
+            x = skeys[k]
+            race = []
+            for chain in chains:
+                t = len(chain) - 1
+                while t >= 0 and not le(keys[chain[t]], x):
+                    race.append(chain[t])
+                    t -= 1
+            released[member[k]] += 1
+            for c, chain in enumerate(pchains):
+                t = released[c]
+                while t < len(chain) and not le(x, skeys[chain[t]]):
+                    race.append(prefix_len + chain[t])
+                    t += 1
+            race.sort()
+            races.append(race)
+            keys.append(x)
+            _chain_into(chains, self._pid_chains, suffix[k].pid, prefix_len + k, keys, le)
+        return races
+
+    def _flush_stable(self, suffix: list[SensedEventRecord], stable: int, now: float) -> None:
+        """Process the ``stable``-length prefix of ``suffix``, racing
+        each record against the whole linearization (unstable pending
+        records included)."""
+        prefix_len = len(self._processed)
+        races = self._race_lists(suffix, stable)
         full = self._processed               # extend to the linearization view
         full.extend(suffix)
         vars_l = self._vars_l
@@ -351,8 +392,7 @@ class OnlineVectorStrobeDetector(_LivenessMixin, _OnlineObsMixin, VectorStrobeDe
             prevs.append(prev)
             before = len(self.detections)
             self._step(
-                prefix_len + k, rec, env, vars_l, vals_l, prevs,
-                cols[bounds[k]:bounds[k + 1]], state,
+                prefix_len + k, rec, env, vars_l, vals_l, prevs, races[k], state,
                 detail_extra={"emit_time": now},
             )
             for d in self.detections[before:]:

@@ -147,22 +147,6 @@ class VectorStrobeDetector(Detector):
         return snap
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _race_csr(conc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """CSR decomposition of the concurrency matrix: ``(cols,
-        indptr)`` with record i's racing indices at
-        ``cols[indptr[i]:indptr[i + 1]]``.  One vectorized pass and no
-        per-row array objects (``np.split`` used to cost ~10% of
-        finalize at m=1000)."""
-        m = conc.shape[0]
-        if m == 0:
-            return np.empty(0, dtype=np.intp), np.zeros(1, dtype=np.intp)
-        counts = conc.sum(axis=1)
-        _, cols = np.nonzero(conc)
-        indptr = np.zeros(m + 1, dtype=np.intp)
-        np.cumsum(counts, out=indptr[1:])
-        return cols, indptr
-
     def _race_results(
         self,
         env: dict,

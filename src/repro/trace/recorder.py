@@ -57,6 +57,10 @@ KINDS = ("c", "n", "a", "s", "r", "drop")
 #: ``drop`` reasons, matching the transport's distinct drop counters.
 DROP_REASONS = ("crashed", "partition", "loss", "burst")
 
+#: Payload types whose digest can be reused by object identity: frozen
+#: sensed records and JSON scalars.
+_IMMUTABLE = (SensedEventRecord, str, int, float, bool, type(None))
+
 
 def _canon(obj: Any) -> Any:
     """JSON-safe canonical form of a payload/stamp value.
@@ -201,6 +205,10 @@ class FlightRecorder:
         self.world_opaque = 0
         #: run metadata embedded in the trace file header
         self.meta: dict[str, Any] = {}
+        # The last immutable payload digested, and the digests of
+        # immutable payloads sent but not yet received or dropped.
+        self._memo: tuple[Any, str] = (object(), "")
+        self._in_flight: dict[int, tuple[Any, str]] = {}
 
     # ------------------------------------------------------------------
     def _ring(self, pid: int) -> deque:
@@ -222,6 +230,25 @@ class FlightRecorder:
         self._gseq += 1
         return self._gseq
 
+    def _digest(self, payload: Any) -> str:
+        """:func:`payload_digest`, reused while an immutable payload is
+        the last one digested (a record at its sense event, then in each
+        broadcast copy); mutable payloads are digested every time."""
+        if payload is self._memo[0]:
+            return self._memo[1]
+        digest = payload_digest(payload)
+        if isinstance(payload, _IMMUTABLE):
+            self._memo = (payload, digest)
+        return digest
+
+    def _arrived_digest(self, mid: "int | None", payload: Any) -> str:
+        """The digest of a delivered or dropped payload: the one taken at
+        its send when that payload was immutable, else a fresh one."""
+        sent = self._in_flight.pop(mid, None)
+        if sent is not None and sent[0] is payload:
+            return sent[1]
+        return self._digest(payload)
+
     # -- hooks (called by instrumented components) ----------------------
     def record_event(self, ev: Event) -> None:
         """Process-side hook: one c/n/a entry per logged event.
@@ -239,7 +266,7 @@ class FlightRecorder:
             key = ev.detail.key()
         self._append(ev.pid, TraceEvent(
             pid=ev.pid, gseq=self._next_gseq(), kind=kind.value,
-            t=ev.true_time, digest=payload_digest(ev.detail),
+            t=ev.true_time, digest=self._digest(ev.detail),
             stamps=stamps_to_json(ev.stamps), key=key,
         ))
 
@@ -247,9 +274,12 @@ class FlightRecorder:
         """Transport-side hook at dispatch; returns the assigned mid."""
         mid = self._next_mid
         self._next_mid += 1
+        digest = self._digest(msg.payload)
+        if self._memo[0] is msg.payload:
+            self._in_flight[mid] = self._memo
         self._append(msg.src, TraceEvent(
             pid=msg.src, gseq=self._next_gseq(), kind="s", t=msg.sent_at,
-            digest=payload_digest(msg.payload), mid=mid,
+            digest=digest, mid=mid,
             src=msg.src, dst=msg.dst, msg_kind=msg.kind, size=msg.size,
         ))
         return mid
@@ -258,7 +288,7 @@ class FlightRecorder:
         """Transport-side hook just before the endpoint callback."""
         self._append(msg.dst, TraceEvent(
             pid=msg.dst, gseq=self._next_gseq(), kind="r",
-            t=self._sim.now, digest=payload_digest(msg.payload), mid=mid,
+            t=self._sim.now, digest=self._arrived_digest(mid, msg.payload), mid=mid,
             src=msg.src, dst=msg.dst, msg_kind=msg.kind, size=msg.size,
         ))
 
@@ -268,7 +298,7 @@ class FlightRecorder:
             raise ValueError(f"unknown drop reason {reason!r}")
         self._append(msg.dst, TraceEvent(
             pid=msg.dst, gseq=self._next_gseq(), kind="drop",
-            t=self._sim.now, digest=payload_digest(msg.payload), mid=mid,
+            t=self._sim.now, digest=self._arrived_digest(mid, msg.payload), mid=mid,
             src=msg.src, dst=msg.dst, msg_kind=msg.kind, size=msg.size,
             drop=reason,
         ))

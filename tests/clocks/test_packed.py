@@ -1,11 +1,12 @@
 """Equivalence properties for the packed-int64 timestamp encoding.
 
-The SWAR fast paths (pairwise ``__le__``/``__lt__``/``concurrent_with``
-and the :func:`_packed_leq`-backed batch kernels) must be unobservable:
-for every width n = 1..8 and any mix of packable and overflowing
-components, results agree bit-for-bit with the component-wise
-definitions.  These tests pin that claim, including the transparent
-fallback when a component exceeds :func:`packed_capacity`.
+The SWAR fast paths (pairwise ``__le__``/``__lt__``/``concurrent_with``,
+the bare-word :func:`packed_le`, and the :func:`_packed_leq`-backed
+batch kernels) must be unobservable: for every width n = 1..8 and any
+mix of packable and overflowing components, results agree bit-for-bit
+with the component-wise definitions.  These tests pin that claim,
+including the transparent fallback when a component exceeds
+:func:`packed_capacity`.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from repro.clocks.vector import (
     VectorTimestamp,
     _sliced_leq,
     chain_concurrency_csr,
-    concurrency_block,
     concurrency_matrix,
-    dominates_block,
     dominates_matrix,
     pack_matrix,
     packed_capacity,
+    packed_le,
     stack_timestamps,
 )
 
@@ -177,42 +177,17 @@ def test_batch_kernels_match_pairwise(vecs):
 
 @given(timestamp_matrices())
 def test_packed_and_sliced_kernels_agree(vecs):
+    """The SWAR matrix kernel, the component-sliced one and the bare
+    word compare ``packed_le`` agree on every packable set."""
     packed = pack_matrix(vecs)
     assume(packed is not None)
-    leq_packed = dominates_matrix([], vecs=vecs, packed=packed)
+    leq_packed = dominates_matrix([VectorTimestamp(row) for row in vecs])
     assert np.array_equal(leq_packed, _sliced_leq(vecs, vecs))
-
-
-@given(timestamp_matrices(), st.data())
-def test_block_kernels_match_pairwise(vecs, data):
-    """Rectangular (suffix × full) kernels: packed and component paths
-    agree with the pairwise operators."""
-    split = data.draw(st.integers(0, vecs.shape[0]), label="split")
-    a, b = vecs[split:], vecs
-    ats = [VectorTimestamp(r) for r in a]
-    bts = [VectorTimestamp(r) for r in b]
-    ref = np.array(
-        [[x <= y for y in bts] for x in ats], dtype=bool
-    ).reshape(len(ats), len(bts))
-    leq = dominates_block(a, b)
-    assert np.array_equal(leq, ref)
-    pa, pb = pack_matrix(a), pack_matrix(b)
-    if pa is not None and pb is not None:
-        assert np.array_equal(
-            dominates_block(a, b, a_packed=pa, b_packed=pb), ref
-        )
-        conc = concurrency_block(a, b, a_packed=pa, b_packed=pb)
-        ref_conc = np.array(
-            [
-                [
-                    not (x <= y) and not (y <= x)
-                    for y in bts
-                ]
-                for x in ats
-            ],
-            dtype=bool,
-        ).reshape(len(ats), len(bts))
-        assert np.array_equal(conc, ref_conc)
+    le = packed_le(vecs.shape[1])
+    words = [int(w) for w in packed]
+    assert np.array_equal(
+        leq_packed, np.array([[le(a, b) for b in words] for a in words])
+    )
 
 
 @pytest.mark.parametrize("n", range(1, PACKED_MAX_N + 1))
