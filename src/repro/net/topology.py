@@ -8,7 +8,11 @@ can model mobility-induced link changes.
 The transport layer consults the topology per delivery: a message is
 deliverable iff the endpoints are currently connected (directly or —
 for the overlay abstraction — via any path; the overlay hides
-routing, matching the paper's "logical network overlay").
+routing, matching the paper's "logical network overlay").  That check
+runs once per message copy, so reachability is answered from a
+node → component map cached per topology :attr:`~Topology.version`;
+every edge mutation goes through :class:`DynamicTopology`, which bumps
+the version.
 """
 
 from __future__ import annotations
@@ -17,13 +21,30 @@ import networkx as nx
 import numpy as np
 
 
+def _component_index(g: nx.Graph) -> dict[int, int]:
+    """Node → connected-component index of ``g``."""
+    comp: dict[int, int] = {}
+    for i, nodes in enumerate(nx.connected_components(g)):
+        for node in nodes:
+            comp[node] = i
+    return comp
+
+
 class Topology:
-    """A (static) logical overlay graph over integer node ids."""
+    """A (static) logical overlay graph over integer node ids.
+
+    The graph must not be mutated behind the topology's back: edge
+    changes go through :class:`DynamicTopology`, which bumps
+    :attr:`version` so cached reachability is recomputed.
+    """
 
     def __init__(self, graph: nx.Graph) -> None:
         if graph.number_of_nodes() == 0:
             raise ValueError("topology needs at least one node")
         self._g = graph
+        self._version = 0
+        self._comp: dict[int, int] = {}
+        self._comp_version = -1
 
     # -- factories ------------------------------------------------------
     @classmethod
@@ -67,6 +88,11 @@ class Topology:
     def graph(self) -> nx.Graph:
         return self._g
 
+    @property
+    def version(self) -> int:
+        """Edge-mutation counter; caches derived from the graph key on it."""
+        return self._version
+
     def nodes(self) -> list[int]:
         return sorted(self._g.nodes)
 
@@ -77,10 +103,19 @@ class Topology:
         return self._g.has_edge(a, b)
 
     def connected(self, a: int, b: int) -> bool:
-        """True iff a path exists between a and b (overlay reachability)."""
+        """True iff a path exists between a and b (overlay reachability).
+
+        O(1) per call against the component map of the current version;
+        an unknown node raises :class:`networkx.NodeNotFound`."""
         if a == b:
             return True
-        return nx.has_path(self._g, a, b)
+        if self._comp_version != self._version:
+            self._comp = _component_index(self._g)
+            self._comp_version = self._version
+        ca, cb = self._comp.get(a), self._comp.get(b)
+        if ca is None or cb is None:
+            raise nx.NodeNotFound(f"Either source {a} or target {b} is not in G")
+        return ca == cb
 
     def is_connected(self) -> bool:
         return nx.is_connected(self._g)
@@ -132,14 +167,17 @@ class DynamicTopology(Topology):
                 self._g.add_edge(a, b)
             flipped += 1
         self._epoch += 1
+        self._version += 1
         return flipped
 
     def remove_edge(self, a: int, b: int) -> None:
         if self._g.has_edge(a, b):
             self._g.remove_edge(a, b)
+            self._version += 1
 
     def add_edge(self, a: int, b: int) -> None:
         self._g.add_edge(a, b)
+        self._version += 1
 
 
 class PartitionOverlay:
@@ -178,10 +216,12 @@ class PartitionOverlay:
                     raise ValueError(f"partition groups overlap: {sorted(seen & g)}")
                 seen |= g
             self._groups = gs
-        # Component-map cache for residual reachability, invalidated on
-        # (graph identity, edge count) change — enough for the static
-        # and churned topologies in this codebase.
-        self._cache_key: tuple | None = None
+        self._group_index = {
+            node: i for i, g in enumerate(self._groups or ()) for node in g
+        }
+        # Residual component map, cached for one (topology, version).
+        self._cache_topo: Topology | None = None
+        self._cache_version = -1
         self._components: dict[int, int] = {}
 
     @classmethod
@@ -198,15 +238,10 @@ class PartitionOverlay:
         return self._groups
 
     def _group_of(self, node: int) -> int:
-        assert self._groups is not None
-        for i, g in enumerate(self._groups):
-            if node in g:
-                return i
-        return -1     # the implicit "everyone else" group
+        return self._group_index.get(node, -1)  # -1: "everyone else"
 
     def _component_map(self, topo: Topology) -> dict[int, int]:
-        key = (id(topo.graph), topo.graph.number_of_edges())
-        if key != self._cache_key:
+        if topo is not self._cache_topo or topo.version != self._cache_version:
             g = topo.graph.copy()
             for a, b in self._cut:
                 if g.has_edge(a, b):
@@ -215,20 +250,19 @@ class PartitionOverlay:
                 for a, b in list(g.edges):
                     if self._group_of(int(a)) != self._group_of(int(b)):
                         g.remove_edge(a, b)
-            comp: dict[int, int] = {}
-            for i, nodes in enumerate(nx.connected_components(g)):
-                for node in nodes:
-                    comp[int(node)] = i
-            self._cache_key = key
-            self._components = comp
+            self._components = _component_index(g)
+            self._cache_topo = topo
+            self._cache_version = topo.version
         return self._components
 
     def connected(self, topo: Topology, a: int, b: int) -> bool:
-        """Reachability under this overlay, on top of ``topo``."""
+        """Reachability under this overlay, on top of ``topo``.
+
+        Group separation is already in the residual graph (cross-group
+        edges are removed), so one component lookup answers both
+        overlay styles."""
         if a == b:
             return True
-        if self._groups is not None and self._group_of(a) != self._group_of(b):
-            return False
         comp = self._component_map(topo)
         ca, cb = comp.get(a), comp.get(b)
         return ca is not None and ca == cb

@@ -98,6 +98,8 @@ class Network:
             rng = np.random.default_rng(substream_seed(0, "net", "transport"))
         self._rng = rng
         self._endpoints: dict[int, Receiver] = {}
+        # Sorted endpoint ids, rebuilt on register: broadcast's fan-out.
+        self._dests: tuple[int, ...] = ()
         self._record_delays = record_delays
         self._mac = mac
         self.stats = NetworkStats()
@@ -141,9 +143,10 @@ class Network:
         if node not in self._topo.graph.nodes:
             raise TransportError(f"endpoint {node} not in topology")
         self._endpoints[node] = receiver
+        self._dests = tuple(sorted(self._endpoints))
 
     def endpoints(self) -> list[int]:
-        return sorted(self._endpoints)
+        return list(self._dests)
 
     # -- fault-injection hooks (repro.faults) ---------------------------
     def set_endpoint_down(self, node: int, down: bool = True) -> None:
@@ -258,7 +261,7 @@ class Network:
         """System-wide broadcast: one copy per other endpoint, each with
         its own delay/loss draw."""
         out = []
-        for dst in self.endpoints():
+        for dst in self._dests:
             if dst == src:
                 continue
             msg = Message(

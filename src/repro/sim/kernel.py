@@ -3,7 +3,10 @@
 The kernel is intentionally minimal: a priority queue of
 ``(time, priority, seq)``-ordered callbacks and a run loop.  All model
 behaviour (message delivery, sensing, clock protocols) is expressed as
-callbacks scheduled on a :class:`Simulator`.
+callbacks scheduled on a :class:`Simulator`.  Heap entries are plain
+``(time, priority, seq, event)`` tuples, so heap order is decided by
+C-level tuple comparison; ``seq`` is unique, so the comparison never
+reaches the event.
 
 Determinism contract
 --------------------
@@ -44,11 +47,13 @@ PRIORITY_LATE = 10
 
 @dataclass(order=True)
 class ScheduledEvent:
-    """A callback registered with the simulator.
+    """A callback registered with the simulator — the handle
+    :meth:`Simulator.schedule_at` returns.
 
     Instances are ordered by ``(time, priority, seq)`` which is exactly
-    the kernel's firing order.  ``cancel()`` marks the entry dead; the
-    heap lazily discards dead entries when they surface.
+    the kernel's firing order (the heap itself orders the same key as a
+    tuple).  ``cancel()`` marks the entry dead; the heap lazily discards
+    dead entries when they surface.
     """
 
     time: float
@@ -95,7 +100,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._heap: list[ScheduledEvent] = []
+        self._heap: list[tuple[float, int, int, ScheduledEvent]] = []
         # Plain int rather than itertools.count: the checkpoint layer
         # (repro.recover) includes the counter in state snapshots, and
         # a count object cannot be inspected without consuming it.
@@ -174,9 +179,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={t} (< now={self._now}): {label!r}"
             )
-        ev = ScheduledEvent(t, priority, self._seq, callback, label, _owner=self)
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
+        seq = self._seq
+        ev = ScheduledEvent(t, priority, seq, callback, label, _owner=self)
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (t, priority, seq, ev))
         self._live += 1
         return ev
 
@@ -228,7 +234,7 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        self._heap = [ev for ev in self._heap if not ev.cancelled]
+        self._heap = [e for e in self._heap if not e[3]._cancelled]
         heapq.heapify(self._heap)
         self._dead = 0
         self._compactions += 1
@@ -239,9 +245,10 @@ class Simulator:
     # Run loop
     # ------------------------------------------------------------------
     def _pop_live(self) -> ScheduledEvent | None:
-        while self._heap:
-            ev = heapq.heappop(self._heap)
-            if not ev.cancelled:
+        heap = self._heap
+        while heap:
+            ev = heapq.heappop(heap)[3]
+            if not ev._cancelled:
                 # Detach from the accounting: a later cancel() on an
                 # already-fired/drained event must not touch _live/_dead
                 # (it used to inflate _dead and trigger spurious
@@ -302,7 +309,7 @@ class Simulator:
                 if until is not None and ev.time > until:
                     # Put it back; we are done for this horizon.  The
                     # entry re-enters the accounting _pop_live detached.
-                    heapq.heappush(self._heap, ev)
+                    heapq.heappush(self._heap, (ev.time, ev.priority, ev.seq, ev))
                     ev._owner = self
                     self._live += 1
                     self._now = float(until)
@@ -328,9 +335,9 @@ class Simulator:
         :mod:`repro.recover` verifies on restore.
         """
         entries: list[tuple[float, int, int, str]] = [
-            (ev.time, ev.priority, ev.seq, ev.label)
-            for ev in self._heap
-            if not ev.cancelled
+            (t, p, seq, ev.label)
+            for t, p, seq, ev in self._heap
+            if not ev._cancelled
         ]
         entries.sort()
         head: list[list[object]] = [[self._processed, self._seq]]

@@ -36,8 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
 import numpy as np
 
@@ -106,9 +105,9 @@ def stamps_to_json(stamps: Mapping[str, Any]) -> dict[str, Any]:
     return {str(k): _canon(stamps[k]) for k in sorted(stamps, key=str)}
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    """One flight-recorder entry.
+class TraceEvent(NamedTuple):
+    """One flight-recorder entry — an immutable named tuple, built
+    positionally on the recording hot path.
 
     ``pid`` is the *ring owner*: the acting process for c/n/a events,
     the sender for ``s``, the destination for ``r``/``drop``.  ``gseq``
@@ -261,13 +260,10 @@ class FlightRecorder:
         kind = ev.kind
         if kind is EventKind.SEND or kind is EventKind.RECEIVE:
             return
-        key = None
-        if kind is EventKind.SENSE:
-            key = ev.detail.key()
+        key = ev.detail.key() if kind is EventKind.SENSE else None
         self._append(ev.pid, TraceEvent(
-            pid=ev.pid, gseq=self._next_gseq(), kind=kind.value,
-            t=ev.true_time, digest=self._digest(ev.detail),
-            stamps=stamps_to_json(ev.stamps), key=key,
+            ev.pid, self._next_gseq(), kind.value, ev.true_time,
+            self._digest(ev.detail), stamps_to_json(ev.stamps), key,
         ))
 
     def record_send(self, msg: "Message") -> int:
@@ -278,18 +274,17 @@ class FlightRecorder:
         if self._memo[0] is msg.payload:
             self._in_flight[mid] = self._memo
         self._append(msg.src, TraceEvent(
-            pid=msg.src, gseq=self._next_gseq(), kind="s", t=msg.sent_at,
-            digest=digest, mid=mid,
-            src=msg.src, dst=msg.dst, msg_kind=msg.kind, size=msg.size,
+            msg.src, self._next_gseq(), "s", msg.sent_at, digest, None, None,
+            mid, msg.src, msg.dst, msg.kind, msg.size,
         ))
         return mid
 
     def record_receive(self, mid: "int | None", msg: "Message") -> None:
         """Transport-side hook just before the endpoint callback."""
         self._append(msg.dst, TraceEvent(
-            pid=msg.dst, gseq=self._next_gseq(), kind="r",
-            t=self._sim.now, digest=self._arrived_digest(mid, msg.payload), mid=mid,
-            src=msg.src, dst=msg.dst, msg_kind=msg.kind, size=msg.size,
+            msg.dst, self._next_gseq(), "r", self._sim.now,
+            self._arrived_digest(mid, msg.payload), None, None,
+            mid, msg.src, msg.dst, msg.kind, msg.size,
         ))
 
     def record_drop(self, mid: "int | None", msg: "Message", reason: str) -> None:
@@ -297,10 +292,9 @@ class FlightRecorder:
         if reason not in DROP_REASONS:
             raise ValueError(f"unknown drop reason {reason!r}")
         self._append(msg.dst, TraceEvent(
-            pid=msg.dst, gseq=self._next_gseq(), kind="drop",
-            t=self._sim.now, digest=self._arrived_digest(mid, msg.payload), mid=mid,
-            src=msg.src, dst=msg.dst, msg_kind=msg.kind, size=msg.size,
-            drop=reason,
+            msg.dst, self._next_gseq(), "drop", self._sim.now,
+            self._arrived_digest(mid, msg.payload), None, None,
+            mid, msg.src, msg.dst, msg.kind, msg.size, reason,
         ))
 
     def record_world(self, change: Any) -> None:

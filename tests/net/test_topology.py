@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.net.topology import DynamicTopology, Topology
+from repro.net.topology import DynamicTopology, PartitionOverlay, Topology
 
 
 def test_complete_graph_all_connected():
@@ -108,3 +110,111 @@ def test_dynamic_does_not_mutate_source_graph():
     t = DynamicTopology(base.graph)
     t.remove_edge(0, 1)
     assert base.has_edge(0, 1)
+
+
+# ---------------------------------------------------------------------------
+# Version-cached reachability
+# ---------------------------------------------------------------------------
+
+def test_unknown_node_raises():
+    import networkx as nx
+    t = Topology.ring(4)
+    with pytest.raises(nx.NodeNotFound):
+        t.connected(0, 99)
+    with pytest.raises(nx.NodeNotFound):
+        t.connected(99, 0)
+    assert t.connected(99, 99)     # self-reachability needs no lookup
+
+
+def test_version_bumps_on_every_edge_change():
+    t = DynamicTopology(Topology.ring(4).graph)
+    assert t.version == 0
+    t.add_edge(0, 2)
+    t.remove_edge(0, 2)
+    assert t.version == 2
+    t.remove_edge(0, 2)            # absent edge: nothing changed
+    assert t.version == 2
+    t.churn(np.random.default_rng(0), flip_fraction=0.5)
+    assert t.version == 3
+
+
+def test_partition_overlay_sees_edge_swap():
+    """One edge removed and another added keeps the edge count: the
+    overlay's residual component map must still be rebuilt."""
+    import networkx as nx
+    t = DynamicTopology(nx.path_graph(4))
+    overlay = PartitionOverlay(cut_edges=[(0, 1)])
+    assert overlay.connected(t, 1, 3)
+    t.remove_edge(2, 3)
+    t.add_edge(0, 3)
+    assert not overlay.connected(t, 1, 3)
+    assert overlay.connected(t, 0, 3)
+
+
+_MUTATION = st.one_of(
+    st.tuples(st.just("churn"), st.integers(0, 2**16), st.floats(0.0, 0.5)),
+    st.tuples(st.just("add"), st.integers(0, 7), st.integers(0, 7)),
+    st.tuples(st.just("remove"), st.integers(0, 7), st.integers(0, 7)),
+)
+
+
+@st.composite
+def _overlays(draw, n):
+    style = draw(st.sampled_from(["none", "cut", "groups"]))
+    if style == "none":
+        return None
+    if style == "cut":
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        return PartitionOverlay(cut_edges=draw(
+            st.lists(st.sampled_from(pairs), max_size=len(pairs), unique=True)
+        ))
+    label = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    groups = [[v for v in range(n) if label[v] == g] for g in range(3)]
+    return PartitionOverlay.split(*[g for g in groups if g])
+
+
+def _residual(topo, overlay):
+    import networkx as nx
+    g = nx.Graph(topo.graph)
+    if overlay is None:
+        return g
+    g.remove_edges_from([e for e in overlay.cut_edges if g.has_edge(*e)])
+    if overlay.groups is not None:
+        group = {v: i for i, gr in enumerate(overlay.groups) for v in gr}
+        g.remove_edges_from([
+            (a, b) for a, b in list(g.edges) if group.get(a, -1) != group.get(b, -1)
+        ])
+    return g
+
+
+@given(
+    n=st.integers(2, 8),
+    p=st.floats(0.0, 1.0),
+    graph_seed=st.integers(0, 2**16),
+    mutations=st.lists(_MUTATION, max_size=8),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_reachability_matches_has_path(n, p, graph_seed, mutations, data):
+    """Cached reachability equals networkx's path search on the current
+    (residual) graph for every pair, after every mutation."""
+    import networkx as nx
+    topo = DynamicTopology(nx.gnp_random_graph(n, p, seed=graph_seed))
+    overlay = data.draw(_overlays(n))
+
+    def check():
+        residual = _residual(topo, overlay)
+        for a in range(n):
+            for b in range(n):
+                want = nx.has_path(topo.graph, a, b)
+                assert topo.connected(a, b) == want
+                if overlay is not None:
+                    assert overlay.connected(topo, a, b) == nx.has_path(residual, a, b)
+
+    check()
+    for op, x, y in mutations:
+        if op == "churn":
+            topo.churn(np.random.default_rng(x), flip_fraction=y)
+        elif x % n != y % n:
+            (topo.add_edge if op == "add" else topo.remove_edge)(x % n, y % n)
+        check()

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.kernel import (
     PRIORITY_EARLY,
@@ -350,3 +352,86 @@ def test_drain_after_cancellations_and_horizon():
     assert remaining == [c]
     assert sim.pending_events == 0
     assert list(sim.drain()) == []
+
+
+# ---------------------------------------------------------------------------
+# Model check: the heap against a naive sorted reference
+# ---------------------------------------------------------------------------
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("at"), st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                  st.sampled_from([PRIORITY_EARLY, 0, PRIORITY_LATE])),
+        st.tuples(st.just("burst"), st.integers(1, 12), st.integers(0, 3)),
+        st.tuples(st.just("cancel"), st.integers(0, 10**6), st.just(0)),
+        st.tuples(st.just("step"), st.just(0), st.just(0)),
+        st.tuples(st.just("until"), st.sampled_from([0.0, 0.25, 0.6, 2.0]), st.just(0)),
+    ),
+    max_size=60,
+)
+
+
+@given(ops=_OPS, threshold=st.sampled_from([1, 3, Simulator.COMPACT_THRESHOLD]))
+@settings(max_examples=150, deadline=None)
+def test_firing_order_and_calendar_match_sorted_reference(ops, threshold):
+    """Random schedule/cancel/step/run(until=) sequences fire in, and
+    snapshot as, the order of a list sorted by (time, priority, seq)."""
+    sim = Simulator()
+    sim.COMPACT_THRESHOLD = threshold     # small values force compaction
+    fired: list[int] = []
+    handles = []
+    model: dict[int, list] = {}           # seq -> [time, priority, label, live]
+    model_fired: list[int] = []
+    model_now = 0.0
+
+    def schedule(dt, priority):
+        t = sim.now + dt
+        seq = len(handles)
+        handles.append(sim.schedule_at(
+            t, lambda s=seq: fired.append(s), priority=priority, label=f"e{seq}",
+        ))
+        model[seq] = [t, priority, f"e{seq}", True]
+
+    def pending():
+        return sorted((m[0], m[1], s) for s, m in model.items() if m[3])
+
+    for op, x, y in ops:
+        if op == "at":
+            schedule(x, y)
+        elif op == "burst":
+            # Schedule then cancel most of a batch: the compaction trigger.
+            first = len(handles)
+            for k in range(x):
+                schedule(0.125 * (k % 3), 0)
+            for k in range(first, len(handles)):
+                if k % 4 != y:
+                    handles[k].cancel()
+                    model[k][3] = False
+        elif op == "cancel" and handles:
+            k = x % len(handles)
+            handles[k].cancel()
+            model[k][3] = False
+        elif op == "step":
+            head = pending()
+            assert sim.step() == bool(head)
+            if head:
+                t, _, s = head[0]
+                model_fired.append(s)
+                model[s][3] = False
+                model_now = t
+        elif op == "until":
+            until = sim.now + x
+            sim.run(until=until)
+            for t, _, s in pending():
+                if t <= until:
+                    model_fired.append(s)
+                    model[s][3] = False
+            model_now = max(model_now, until)
+        assert fired == model_fired
+        assert sim.now == model_now
+        assert sim.pending_events == len(pending())
+        assert sim.calendar_snapshot() == [[len(model_fired), len(handles)]] + [
+            [t, p, s, model[s][2]] for t, p, s in pending()
+        ]
+    sim.run()
+    assert fired == model_fired + [s for _, _, s in pending()]

@@ -112,6 +112,74 @@ def test_kind_tags_cover_model_events():
 
 
 # ---------------------------------------------------------------------------
+# TraceEvent contract: an immutable, hashable named tuple
+# ---------------------------------------------------------------------------
+
+def test_trace_event_is_immutable():
+    ev = TraceEvent(pid=0, gseq=1, kind="c", t=0.0, digest="00" * 8)
+    with pytest.raises(AttributeError):
+        ev.pid = 5
+    with pytest.raises(AttributeError):
+        ev.drop = "loss"
+
+
+def test_trace_event_fields_and_hash():
+    assert TraceEvent._fields == (
+        "pid", "gseq", "kind", "t", "digest", "stamps", "key", "mid",
+        "src", "dst", "msg_kind", "size", "drop",
+    )
+    a = TraceEvent(pid=1, gseq=2, kind="s", t=0.5, digest="ab" * 8, mid=0,
+                   src=1, dst=2, msg_kind="strobe", size=1)
+    b = TraceEvent.from_json(a.to_json())
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    sense = TraceEvent(pid=1, gseq=3, kind="n", t=0.5, digest="cd" * 8, key=(1, 0))
+    assert hash(sense) != hash(a)
+
+
+def _proc_event(kind, detail):
+    from repro.core.events import Event, EventKind
+
+    return Event(pid=3, seq=0, kind=EventKind(kind), true_time=1.25,
+                 stamps={"lamport": 4}, detail=detail)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_positional_entries_equal_keyword_built(kind):
+    """Each recording hook's positional construction lands every value
+    in the field the keyword form names."""
+    sim = _FakeSim()
+    sim.now = 2.0
+    rec = FlightRecorder(sim, capacity=10)
+    record = SensedEventRecord(pid=3, seq=0, var="x", value=1, true_time=1.25)
+    msg = _FakeMsg(src=3, dst=4, kind="strobe", payload=record, size=2, sent_at=1.5)
+    digest = payload_digest(record)
+    transport = dict(src=3, dst=4, msg_kind="strobe", size=2)
+    if kind in ("c", "n", "a"):
+        detail = record if kind == "n" else "act"
+        rec.record_event(_proc_event(kind, detail))
+        want = TraceEvent(
+            pid=3, gseq=1, kind=kind, t=1.25, digest=payload_digest(detail),
+            stamps={"lamport": 4}, key=(3, 0) if kind == "n" else None,
+        )
+    elif kind == "s":
+        rec.record_send(msg)
+        want = TraceEvent(pid=3, gseq=1, kind="s", t=1.5, digest=digest, mid=0,
+                          **transport)
+    elif kind == "r":
+        rec.record_receive(7, msg)
+        want = TraceEvent(pid=4, gseq=1, kind="r", t=2.0, digest=digest, mid=7,
+                          **transport)
+    else:
+        rec.record_drop(7, msg, "partition")
+        want = TraceEvent(pid=4, gseq=1, kind="drop", t=2.0, digest=digest, mid=7,
+                          drop="partition", **transport)
+    (got,) = rec.events()
+    assert type(got) is TraceEvent
+    assert got._asdict() == want._asdict()
+
+
+# ---------------------------------------------------------------------------
 # Live recording (hall fixture)
 # ---------------------------------------------------------------------------
 
