@@ -17,9 +17,9 @@ Strobe vector (SVC1-2)            :class:`StrobeVectorClock`
 Physical async vector             :class:`PhysicalVectorClock`
 ===============================  =========================================
 
-Extensions beyond the paper (its "future work" flavour): a hybrid
-logical clock (:class:`HybridLogicalClock`) and a matrix clock
-(:class:`MatrixClock`).
+Vector timestamps are component tuples; those of width ≤ 8 whose
+components fit also carry a cached packed-int64 word for SWAR
+dominance checks (see :mod:`repro.clocks.vector`).
 
 Clocks are pure protocol objects: they never talk to the network.  A
 clock's ``on_send``/``on_relevant_event`` methods *return* the payload
@@ -42,8 +42,6 @@ from repro.clocks.sync import (
     PeriodicSyncProtocol,
     SyncStats,
 )
-from repro.clocks.hlc import HybridLogicalClock, HlcTimestamp
-from repro.clocks.matrix import MatrixClock
 
 __all__ = [
     "Clock",
@@ -63,7 +61,4 @@ __all__ = [
     "PeriodicSyncProtocol",
     "OnDemandSyncProtocol",
     "SyncStats",
-    "HybridLogicalClock",
-    "HlcTimestamp",
-    "MatrixClock",
 ]

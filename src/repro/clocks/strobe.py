@@ -30,11 +30,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.clocks.base import ClockError, StrobeClock, validate_pid
 from repro.clocks.scalar import ScalarTimestamp
-from repro.clocks.vector import FASTPATH_MAX_N, VectorTimestamp
+from repro.clocks.vector import VectorTimestamp
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.instrument import Observability
@@ -87,15 +85,7 @@ class StrobeVectorClock(_StrobeObsMixin, StrobeClock[VectorTimestamp]):
         validate_pid(pid, n)
         self._pid = int(pid)
         self._n = int(n)
-        # List-backed state below the fast-path width threshold, so
-        # read()/on_relevant_event() mint tuple-backed timestamps with
-        # no per-event NumPy allocation (see repro.clocks.vector).
-        self._small = self._n < FASTPATH_MAX_N
-        self._v: "list[int] | np.ndarray"
-        if self._small:
-            self._v = [0] * self._n
-        else:
-            self._v = np.zeros(n, dtype=np.int64)
+        self._v = [0] * self._n
         self._relevant_events = 0
         self._strobes_received = 0
 
@@ -140,20 +130,15 @@ class StrobeVectorClock(_StrobeObsMixin, StrobeClock[VectorTimestamp]):
             self._m_catchup.observe(gain)
             self._m_skew.set(gain)
             self._m_merged.inc()
-        if self._small:
-            v = self._v
-            for k, r in enumerate(strobe.as_tuple()):
-                if r > v[k]:  # type: ignore[index]
-                    v[k] = r  # type: ignore[index]
-        else:
-            np.maximum(self._v, strobe.as_array(), out=self._v)  # type: ignore[call-overload]
+        v = self._v
+        for k, r in enumerate(strobe.as_tuple()):
+            if r > v[k]:
+                v[k] = r
         self._strobes_received += 1
         return self.read()
 
     def read(self) -> VectorTimestamp:
-        if self._small:
-            return VectorTimestamp._from_trusted_tuple(tuple(self._v))
-        return VectorTimestamp._from_trusted_array(self._v)  # type: ignore[arg-type]
+        return VectorTimestamp._from_trusted_tuple(tuple(self._v))
 
     def perturb(self, ticks: int) -> VectorTimestamp:
         """Fault injection: corrupt the own component forward by
@@ -175,13 +160,13 @@ class StrobeVectorClock(_StrobeObsMixin, StrobeClock[VectorTimestamp]):
         """JSON-safe state summary (see :mod:`repro.recover`): vector
         components plus the SVC1/SVC2 invocation counters."""
         return {
-            "v": [int(x) for x in self._v],
+            "v": list(self._v),
             "relevant_events": self._relevant_events,
             "strobes_received": self._strobes_received,
         }
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"StrobeVectorClock(pid={self._pid}, v={tuple(int(x) for x in self._v)})"
+        return f"StrobeVectorClock(pid={self._pid}, v={tuple(self._v)})"
 
 
 class StrobeScalarClock(_StrobeObsMixin, StrobeClock[ScalarTimestamp]):

@@ -1,38 +1,29 @@
 """Mattern/Fidge vector clock — rules VC1–VC3 (paper §4.2.1).
 
-Timestamps are immutable :class:`VectorTimestamp` objects with two
-interchangeable backends, selected automatically by vector width:
+Timestamps are immutable :class:`VectorTimestamp` objects whose
+components live in a plain Python tuple, so pairwise comparisons,
+merges and hashing run as C-level tuple operations with no per-event
+NumPy allocation.  The paper's scenarios run 3–16 processes, and the
+detectors compare timestamps millions of times per run.
 
-* **tuple backend** (n < :data:`FASTPATH_MAX_N`) — components live in a
-  plain Python tuple, so comparisons, merges and hashing run as C-level
-  tuple operations with no per-event NumPy allocation.  This is the
-  common case: the paper's scenarios run 3–16 processes, and the
-  detectors compare timestamps millions of times per run.
-* **NumPy backend** (n ≥ :data:`FASTPATH_MAX_N`) — an ``int64`` array,
-  so wide vectors (the E12 microbench goes to n=512) keep vectorized
-  component-wise operations.
-
-Either backend can lazily materialize the other view (:meth:`as_array`
-/ :meth:`as_tuple`); both hash and compare identically, a property the
-tests/clocks/test_fastpath.py property suite pins.  Batch helpers
-(:func:`stack_timestamps`, :func:`dominates_matrix`,
-:func:`concurrency_matrix`, :func:`chain_concurrency_csr`,
-:func:`merge_many`) give detectors an m-at-a-time API so hot paths stop
-issuing m² Python-level ``__le__`` calls.
-
-On top of either backend, timestamps with n ≤ :data:`PACKED_MAX_N`
-components that all fit in ``64 // n - 1`` bits additionally carry a
-**packed int64 encoding** (:meth:`VectorTimestamp.packed`): the
+Timestamps with n ≤ :data:`PACKED_MAX_N` components that all fit in
+``64 // n - 1`` bits also have a **packed int64 encoding**
+(:meth:`VectorTimestamp.packed`, computed once and cached): the
 components bit-packed into one word with a guard bit per field, so a
-dominance check is a single subtract-and-mask (SWAR) instead of n
-comparisons — pairwise (also over bare words, :func:`packed_le`) and,
-through :func:`pack_matrix`, inside the batch kernels.  Component
-overflow falls back to the component-matrix kernels transparently
-(tests/clocks/test_packed.py pins equivalence).
+dominance check over bare words (:func:`packed_le`) is a single
+subtract-and-mask (SWAR) instead of n comparisons.  The online
+detector keys its pending records by these words.
+
+Batch helpers (:func:`stack_timestamps`, :func:`dominates_matrix`,
+:func:`concurrency_matrix`, :func:`chain_concurrency_csr`) give
+detectors an m-at-a-time API so hot paths stop issuing m² Python-level
+``__le__`` calls; :func:`pack_matrix` packs a stamp matrix for the
+chain-range race kernel.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
@@ -44,14 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.registry import Counter
 
 Ordering = Literal["<", ">", "=", "||"]
-
-#: Width threshold for the tuple fast path; at and beyond it the NumPy
-#: backend wins (vectorized compares amortize allocation overhead).
-FASTPATH_MAX_N = 64
-
-#: Bound on the elements of a single broadcast intermediate in the
-#: chunked dominance kernel (keeps the O(m²·n) matrix memory-bounded).
-_CHUNK_ELEMS = 1 << 22
 
 #: Widest vector eligible for the packed-int64 encoding: n fields of
 #: ``64 // n`` bits each, bit-packed into one word, with the top bit of
@@ -78,6 +61,25 @@ def packed_capacity(n: int) -> int:
     return _PACK_LIMIT[n] if 1 <= n <= PACKED_MAX_N else 0
 
 
+def _component(x: object) -> int:
+    """One validated vector component: a non-negative integer.
+
+    Anything :func:`operator.index` accepts (``int``, NumPy integers)
+    passes; floats, strings and ``bool`` raise :class:`ClockError`
+    instead of being silently truncated or coerced.
+    """
+    if not isinstance(x, bool):
+        try:
+            c = operator.index(x)  # type: ignore[arg-type]
+        except TypeError:
+            pass
+        else:
+            if c < 0:
+                raise ClockError("vector components must be non-negative")
+            return c
+    raise ClockError(f"vector components must be integers, got {x!r}")
+
+
 class VectorTimestamp:
     """An immutable n-component vector timestamp.
 
@@ -87,10 +89,9 @@ class VectorTimestamp:
     lattice machinery.
     """
 
-    __slots__ = ("_t", "_arr", "_hash", "_sum", "_packed")
+    __slots__ = ("_t", "_hash", "_sum", "_packed")
 
-    _t: "tuple[int, ...] | None"
-    _arr: "np.ndarray | None"
+    _t: "tuple[int, ...]"
     _hash: "int | None"
     _sum: "int | None"
     #: Packed-int64 encoding: ``None`` = not yet computed, ``-1`` =
@@ -99,61 +100,27 @@ class VectorTimestamp:
 
     def __init__(self, components: Iterable[int]) -> None:
         if isinstance(components, np.ndarray):
-            v = components
-            if v.ndim != 1 or v.size == 0:
+            if components.ndim != 1:
                 raise ClockError(
-                    f"vector timestamp needs a 1-D nonempty vector, got shape {v.shape}"
+                    "vector timestamp needs a 1-D nonempty vector, "
+                    f"got shape {components.shape}"
                 )
-            if np.any(v < 0):
-                raise ClockError("vector components must be non-negative")
-            if v.size < FASTPATH_MAX_N:
-                self._t = tuple(int(x) for x in v)
-                self._arr = None
-            else:
-                arr = np.asarray(v, dtype=np.int64).copy()
-                arr.setflags(write=False)
-                self._t = None
-                self._arr = arr
-        else:
-            t = tuple(int(x) for x in components)
-            if not t:
-                raise ClockError(
-                    "vector timestamp needs a 1-D nonempty vector, got shape (0,)"
-                )
-            if any(x < 0 for x in t):
-                raise ClockError("vector components must be non-negative")
-            if len(t) < FASTPATH_MAX_N:
-                self._t = t
-                self._arr = None
-            else:
-                arr = np.asarray(t, dtype=np.int64)
-                arr.setflags(write=False)
-                self._t = None
-                self._arr = arr
+            components = components.tolist()
+        t = tuple(_component(x) for x in components)
+        if not t:
+            raise ClockError(
+                "vector timestamp needs a 1-D nonempty vector, got shape (0,)"
+            )
+        self._t = t
         self._hash = None
         self._sum = None
         self._packed = None
 
-    # -- trusted constructors (internal fast paths) ---------------------
     @classmethod
     def _from_trusted_tuple(cls, t: "tuple[int, ...]") -> "VectorTimestamp":
         """Wrap an already-validated component tuple (no checks)."""
         ts = cls.__new__(cls)
         ts._t = t
-        ts._arr = None
-        ts._hash = None
-        ts._sum = None
-        ts._packed = None
-        return ts
-
-    @classmethod
-    def _from_trusted_array(cls, arr: "np.ndarray") -> "VectorTimestamp":
-        """Wrap an already-validated int64 array (copied, frozen)."""
-        ts = cls.__new__(cls)
-        a = arr.copy()
-        a.setflags(write=False)
-        ts._t = None
-        ts._arr = a
         ts._hash = None
         ts._sum = None
         ts._packed = None
@@ -169,7 +136,6 @@ class VectorTimestamp:
         ts = cls._ZEROS.get(n)
         if ts is None:
             ts = cls([0] * n)
-            ts.packed()          # interned constants pre-warm the encoding
             cls._ZEROS[n] = ts
         return ts
 
@@ -181,40 +147,26 @@ class VectorTimestamp:
         if ts is None:
             validate_pid(pid, n)
             ts = cls([1 if i == pid else 0 for i in range(n)])
-            ts.packed()
             cls._UNITS[key] = ts
         return ts
 
     # -- accessors ------------------------------------------------------
     @property
     def n(self) -> int:
-        return len(self._t) if self._t is not None else len(self._arr)  # type: ignore[arg-type]
+        return len(self._t)
 
     def __len__(self) -> int:
-        return self.n
+        return len(self._t)
 
     def __getitem__(self, i: int) -> int:
-        if self._t is not None:
-            return self._t[i]
-        return int(self._arr[i])  # type: ignore[index]
+        return self._t[i]
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.as_tuple())
+        return iter(self._t)
 
     def as_tuple(self) -> "tuple[int, ...]":
-        """Component tuple (cached; free on the tuple backend)."""
-        if self._t is None:
-            self._t = tuple(int(x) for x in self._arr)  # type: ignore[union-attr]
+        """The component tuple."""
         return self._t
-
-    def as_array(self) -> "np.ndarray":
-        """Read-only int64 view (lazily materialized on the tuple
-        backend, no copy on the NumPy backend)."""
-        if self._arr is None:
-            arr = np.asarray(self._t, dtype=np.int64)
-            arr.setflags(write=False)
-            self._arr = arr
-        return self._arr
 
     def packed(self) -> "int | None":
         """The packed-int64 encoding, or ``None`` when this timestamp
@@ -229,14 +181,14 @@ class VectorTimestamp:
         """
         p = self._packed
         if p is None:
-            n = self.n
+            n = len(self._t)
             if n > PACKED_MAX_N:
                 p = -1
             else:
                 w = _PACK_WIDTH[n]
                 limit = _PACK_LIMIT[n]
                 p = 0
-                for i, c in enumerate(self.as_tuple()):
+                for i, c in enumerate(self._t):
                     if c > limit:
                         p = -1
                         break
@@ -248,50 +200,30 @@ class VectorTimestamp:
     def _check(self, other: "VectorTimestamp") -> None:
         if not isinstance(other, VectorTimestamp):
             raise TypeError(f"cannot compare VectorTimestamp with {type(other)!r}")
-        if other.n != self.n:
+        if len(other._t) != len(self._t):
             raise ClockError(f"vector width mismatch: {self.n} vs {other.n}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorTimestamp):
             return NotImplemented
-        if self.n != other.n:
-            return False
-        return self.as_tuple() == other.as_tuple()
+        return self._t == other._t
 
     def __hash__(self) -> int:
-        # Both backends hash their component tuple, so mixed-backend
-        # equal timestamps collide correctly in sets/dicts.
         h = self._hash
         if h is None:
-            h = hash(self.as_tuple())
+            h = hash(self._t)
             self._hash = h
         return h
 
     def __le__(self, other: "VectorTimestamp") -> bool:
         self._check(other)
-        pa, pb = self._packed, other._packed
-        if pa is not None and pb is not None and pa >= 0 and pb >= 0:
-            g = _PACK_GUARD[self.n]
-            return ((pb | g) - pa) & g == g
-        a, b = self._t, other._t
-        if a is not None and b is not None:
-            return all(x <= y for x, y in zip(a, b))
-        return bool(np.all(self.as_array() <= other.as_array()))
+        return all(x <= y for x, y in zip(self._t, other._t))
 
     def __lt__(self, other: "VectorTimestamp") -> bool:
         """Strict vector dominance == happens-before (the isomorphism)."""
         self._check(other)
-        pa, pb = self._packed, other._packed
-        if pa is not None and pb is not None and pa >= 0 and pb >= 0:
-            # Packing is injective per width, so inequality of the
-            # words is inequality of the vectors.
-            g = _PACK_GUARD[self.n]
-            return pa != pb and ((pb | g) - pa) & g == g
         a, b = self._t, other._t
-        if a is not None and b is not None:
-            return a != b and all(x <= y for x, y in zip(a, b))
-        sa, sb = self.as_array(), other.as_array()
-        return bool(np.all(sa <= sb) and np.any(sa < sb))
+        return a != b and all(x <= y for x, y in zip(a, b))
 
     def __ge__(self, other: "VectorTimestamp") -> bool:
         return other.__le__(self)
@@ -301,25 +233,16 @@ class VectorTimestamp:
 
     def concurrent_with(self, other: "VectorTimestamp") -> bool:
         """True iff neither dominates the other (a || b)."""
-        self._check(other)
-        pa, pb = self._packed, other._packed
-        if pa is not None and pb is not None and pa >= 0 and pb >= 0:
-            g = _PACK_GUARD[self.n]
-            return ((pb | g) - pa) & g != g and ((pa | g) - pb) & g != g
-        return not (self <= other) and not (other <= self)
+        return not self <= other and not other <= self
 
     def merge(self, other: "VectorTimestamp") -> "VectorTimestamp":
         """Component-wise max (the join in the timestamp lattice)."""
         self._check(other)
         a, b = self._t, other._t
-        if a is not None and b is not None:
-            if a == b:
-                return self
-            return VectorTimestamp._from_trusted_tuple(
-                tuple(x if x >= y else y for x, y in zip(a, b))
-            )
-        return VectorTimestamp._from_trusted_array(
-            np.maximum(self.as_array(), other.as_array())
+        if a == b:
+            return self
+        return VectorTimestamp._from_trusted_tuple(
+            tuple(x if x >= y else y for x, y in zip(a, b))
         )
 
     def sum(self) -> int:
@@ -329,15 +252,12 @@ class VectorTimestamp:
         """
         s = self._sum
         if s is None:
-            if self._t is not None:
-                s = sum(self._t)
-            else:
-                s = int(self._arr.sum())  # type: ignore[union-attr]
+            s = sum(self._t)
             self._sum = s
         return s
 
     def __repr__(self) -> str:
-        return f"VectorTimestamp({self.as_tuple()})"
+        return f"VectorTimestamp({self._t})"
 
 
 def compare(a: VectorTimestamp, b: VectorTimestamp) -> Ordering:
@@ -372,11 +292,7 @@ def stack_timestamps(timestamps: Sequence[VectorTimestamp]) -> "np.ndarray":
     for t in ts:
         if t.n != n:
             raise ClockError(f"vector width mismatch: {n} vs {t.n}")
-    if ts[0]._t is not None:
-        # Tuple backend: one C-level bulk conversion beats stacking m
-        # tiny arrays.
-        return np.asarray([t.as_tuple() for t in ts], dtype=np.int64)
-    return np.stack([t.as_array() for t in ts])
+    return np.asarray([t._t for t in ts], dtype=np.int64)
 
 
 def pack_matrix(vecs: "np.ndarray") -> "np.ndarray | None":
@@ -401,13 +317,6 @@ def pack_matrix(vecs: "np.ndarray") -> "np.ndarray | None":
     return packed
 
 
-#: Row-chunk size (in elements) for the packed kernel's scratch buffer.
-#: ~64K uint64 elements = 512 KiB keeps the subtract/and/eq passes in
-#: cache; one-shot (m × m) temporaries cost ~7x more in page faults at
-#: m=5000.
-_PACKED_CHUNK_ELEMS = 1 << 16
-
-
 def packed_le(n: int) -> "Callable[[int, int], bool]":
     """Pairwise SWAR dominance over width-``n`` packed words:
     ``le(a.packed(), b.packed())`` ⇔ ``a <= b``."""
@@ -415,62 +324,15 @@ def packed_le(n: int) -> "Callable[[int, int], bool]":
     return lambda a, b: ((b | g) - a) & g == g
 
 
-def _packed_leq(
-    a_packed: "np.ndarray", b_packed: "np.ndarray", n: int
-) -> "np.ndarray":
-    """``leq[i, j] ⇔ a[i] ≤ b[j]`` over packed words: a broadcast
-    subtract with per-field guard bits absorbing borrows (SWAR), so the
-    cost is ~3 elementwise passes regardless of n (the component-sliced
-    kernel pays 2n - 1).  Row-chunked over a reused scratch buffer so
-    the uint64 intermediates never leave cache."""
-    g = np.uint64(_PACK_GUARD[n])
-    la, lb = a_packed.shape[0], b_packed.shape[0]
-    out = np.empty((la, lb), dtype=bool)
-    bg = b_packed | g
-    rows = max(1, _PACKED_CHUNK_ELEMS // max(1, lb))
-    scratch = np.empty((min(rows, la), lb), dtype=np.uint64)
-    for lo in range(0, la, rows):
-        hi = min(la, lo + rows)
-        s = scratch[: hi - lo]
-        np.subtract(bg[None, :], a_packed[lo:hi, None], out=s)
-        np.bitwise_and(s, g, out=s)
-        np.equal(s, g, out=out[lo:hi])
-    return out
-
-
-def _sliced_leq(a_vecs: "np.ndarray", b_vecs: "np.ndarray") -> "np.ndarray":
-    """Component-sliced ``leq[i, j] ⇔ a[i] ≤ b[j]`` (n 2-D compares)."""
-    col = a_vecs[:, 0]
-    leq = col[:, None] <= b_vecs[:, 0][None, :]
-    for k in range(1, a_vecs.shape[1]):
-        leq &= a_vecs[:, k][:, None] <= b_vecs[:, k][None, :]
-    return leq
-
-
 def dominates_matrix(timestamps: Sequence[VectorTimestamp]) -> "np.ndarray":
-    """Boolean m×m matrix ``leq[i, j] ⇔ timestamps[i] ≤ timestamps[j]``.
-
-    Three kernels, chosen by width: packed-SWAR when the set fits the
-    int64 packed encoding (one uint64 subtract instead of n compares),
-    component-sliced for other narrow vectors (n two-D compares, no
-    (m, m, n) intermediate), and a chunked 3-D broadcast for wide ones
-    so peak memory stays bounded by :data:`_CHUNK_ELEMS` elements.
-    """
+    """Boolean m×m matrix ``leq[i, j] ⇔ timestamps[i] ≤ timestamps[j]``,
+    as n component-sliced 2-D compares (no (m, m, n) intermediate)."""
     vecs = stack_timestamps(timestamps)
-    m = vecs.shape[0]
-    if m == 0:
+    if vecs.shape[0] == 0:
         return np.zeros((0, 0), dtype=bool)
-    n = vecs.shape[1]
-    if n <= PACKED_MAX_N:
-        packed = pack_matrix(vecs)
-        if packed is not None:
-            return _packed_leq(packed, packed, n)
-        return _sliced_leq(vecs, vecs)
-    leq = np.empty((m, m), dtype=bool)
-    rows = max(1, _CHUNK_ELEMS // max(1, m * n))
-    for lo in range(0, m, rows):
-        hi = min(m, lo + rows)
-        np.all(vecs[lo:hi, None, :] <= vecs[None, :, :], axis=2, out=leq[lo:hi])
+    leq = vecs[:, 0][:, None] <= vecs[:, 0][None, :]
+    for k in range(1, vecs.shape[1]):
+        leq &= vecs[:, k][:, None] <= vecs[:, k][None, :]
     return leq
 
 
@@ -609,20 +471,6 @@ def chain_concurrency_csr(
     return cols.astype(np.intp, copy=False), indptr
 
 
-def merge_many(timestamps: Sequence[VectorTimestamp]) -> VectorTimestamp:
-    """Join (component-wise max) of m ≥ 1 timestamps in one pass."""
-    ts = list(timestamps)
-    if not ts:
-        raise ClockError("merge_many needs at least one timestamp")
-    if len(ts) == 1:
-        return ts[0]
-    vecs = stack_timestamps(ts)
-    merged = vecs.max(axis=0)
-    if vecs.shape[1] < FASTPATH_MAX_N:
-        return VectorTimestamp._from_trusted_tuple(tuple(int(x) for x in merged))
-    return VectorTimestamp._from_trusted_array(merged)
-
-
 class VectorClock(Clock[VectorTimestamp]):
     """Mattern/Fidge causality-tracking vector clock.
 
@@ -630,9 +478,8 @@ class VectorClock(Clock[VectorTimestamp]):
     VC2: send         → ``C[i] += 1``; piggyback C
     VC3: receive(T)   → ``C = max(C, T)``; ``C[i] += 1``
 
-    Internal state is a plain Python list below :data:`FASTPATH_MAX_N`
-    processes (so ``read()`` mints tuple-backed timestamps with no
-    NumPy allocation) and an int64 array at or above it.
+    Internal state is a plain Python list, so ``read()`` mints a
+    timestamp with one ``tuple()`` copy.
 
     Parameters
     ----------
@@ -646,12 +493,7 @@ class VectorClock(Clock[VectorTimestamp]):
         validate_pid(pid, n)
         self._pid = int(pid)
         self._n = int(n)
-        self._small = self._n < FASTPATH_MAX_N
-        self._v: "list[int] | np.ndarray"
-        if self._small:
-            self._v = [0] * self._n
-        else:
-            self._v = np.zeros(self._n, dtype=np.int64)
+        self._v = [0] * self._n
         # Observability handles (None = no-op fast path).
         self._m_ticks: "Counter | None" = None
         self._m_merges: "Counter | None" = None
@@ -692,29 +534,24 @@ class VectorClock(Clock[VectorTimestamp]):
     def on_receive(self, remote: VectorTimestamp) -> VectorTimestamp:
         if remote.n != self._n:
             raise ClockError(f"vector width mismatch: {self._n} vs {remote.n}")
-        if self._small:
-            v = self._v
-            for k, r in enumerate(remote.as_tuple()):
-                if r > v[k]:  # type: ignore[index]
-                    v[k] = r  # type: ignore[index]
-        else:
-            np.maximum(self._v, remote.as_array(), out=self._v)  # type: ignore[call-overload]
-        self._v[self._pid] += 1
+        v = self._v
+        for k, r in enumerate(remote.as_tuple()):
+            if r > v[k]:
+                v[k] = r
+        v[self._pid] += 1
         if self._m_merges is not None:
             self._m_merges.inc()
         return self.read()
 
     def read(self) -> VectorTimestamp:
-        if self._small:
-            return VectorTimestamp._from_trusted_tuple(tuple(self._v))
-        return VectorTimestamp._from_trusted_array(self._v)  # type: ignore[arg-type]
+        return VectorTimestamp._from_trusted_tuple(tuple(self._v))
 
     def snapshot(self) -> dict[str, list[int]]:
         """JSON-safe state summary (see :mod:`repro.recover`)."""
-        return {"v": [int(x) for x in self._v]}
+        return {"v": list(self._v)}
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"VectorClock(pid={self._pid}, v={tuple(int(x) for x in self._v)})"
+        return f"VectorClock(pid={self._pid}, v={tuple(self._v)})"
 
 
 __all__ = [
@@ -723,7 +560,6 @@ __all__ = [
     "compare",
     "concurrent",
     "Ordering",
-    "FASTPATH_MAX_N",
     "PACKED_MAX_N",
     "packed_capacity",
     "stack_timestamps",
@@ -732,5 +568,4 @@ __all__ = [
     "dominates_matrix",
     "concurrency_matrix",
     "chain_concurrency_csr",
-    "merge_many",
 ]

@@ -31,6 +31,7 @@ import os
 from pathlib import Path
 from typing import Any
 
+from repro.core.records import SensedEventRecord
 from repro.recover.checkpoint import snapshot_digest
 from repro.recover.stream import record_from_spec
 from repro.replay.manifest import RunManifest
@@ -232,7 +233,7 @@ class WalServer:
                 f"{emitted} emitted detections"
             )
         for spec in specs:
-            self._feed(spec)
+            self._feed(*record_from_spec(spec))
         self.ingested_records = len(specs)
         self._ckpt_ingested = len(specs)
         regenerated = self._detection_lines()
@@ -251,21 +252,28 @@ class WalServer:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def _feed(self, spec: dict[str, Any]) -> None:
-        arrival, record = record_from_spec(spec)
+    def _feed(self, arrival: float, record: SensedEventRecord) -> None:
         if arrival > self.sim.now:
             self.sim.run(until=arrival)
         self.detector.feed(record)
 
     def ingest(self, spec: dict[str, Any]) -> None:
         """WAL-first ingest of one record spec; checkpoints every
-        ``checkpoint_every`` records."""
+        ``checkpoint_every`` records.  A spec that does not decode to a
+        record raises :class:`WalError` and leaves the WAL untouched, so
+        one malformed line cannot poison every later reopen."""
         if self.finalized:
             raise WalError(f"{self.dir}: serve already finalized")
+        try:
+            arrival, record = record_from_spec(spec)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise WalError(
+                f"{self.dir}: malformed record {spec!r}: {exc!r}"
+            ) from exc
         durable_append_lines(
             self.wal_path, [json.dumps(spec, sort_keys=True)]
         )
-        self._feed(spec)
+        self._feed(arrival, record)
         self.ingested_records += 1
         if self.ingested_records - self._ckpt_ingested >= self.checkpoint_every:
             self.checkpoint()

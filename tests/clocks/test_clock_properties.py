@@ -3,73 +3,10 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.clocks.hlc import HybridLogicalClock
-from repro.clocks.matrix import MatrixClock
 from repro.clocks.physical import DriftModel, PhysicalClock
 from repro.clocks.strobe import StrobeScalarClock, StrobeVectorClock
 from repro.clocks.sync import PeriodicSyncProtocol
-from repro.clocks.vector import VectorClock
 from repro.sim.kernel import Simulator
-
-
-# ---------------------------------------------------------------------------
-# HLC boundedness: |l − pt| never exceeds the max observed clock skew.
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=40)
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 1), st.floats(min_value=0.01, max_value=2.0)),
-        min_size=1, max_size=25,
-    ),
-    st.floats(min_value=0.0, max_value=0.5),
-)
-def test_hlc_logical_drift_bounded_by_offset_spread(script, offset):
-    """The HLC invariant: l lags local physical time by at most the
-    offset difference between the two clocks (here: |offset|)."""
-    clocks = [
-        HybridLogicalClock(0, PhysicalClock(DriftModel(offset=0.0))),
-        HybridLogicalClock(1, PhysicalClock(DriftModel(offset=offset))),
-    ]
-    t = 0.0
-    last_ts = [None, None]
-    for pid, gap in script:
-        t += gap
-        # Alternate: local event, then message to the other process.
-        ts = clocks[pid].on_local_or_send(t)
-        last_ts[pid] = ts
-        other = 1 - pid
-        clocks[other].on_receive(t, ts)
-        for i, c in enumerate(clocks):
-            assert c.logical_drift(t) <= offset + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Matrix clock dominates its own vector clock view.
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=40)
-@given(st.lists(st.sampled_from(["e0", "e1", "m01", "m10"]), min_size=1, max_size=25))
-def test_matrix_clock_vector_row_matches_vector_clock(ops):
-    """Running a matrix clock and a vector clock side by side: the
-    matrix's own row equals the vector clock at every step, and
-    min_row never exceeds it."""
-    m = [MatrixClock(0, 2), MatrixClock(1, 2)]
-    v = [VectorClock(0, 2), VectorClock(1, 2)]
-    for op in ops:
-        if op == "e0":
-            m[0].on_local_event(); v[0].on_local_event()
-        elif op == "e1":
-            m[1].on_local_event(); v[1].on_local_event()
-        elif op == "m01":
-            payload = m[0].on_send(); ts = v[0].on_send()
-            m[1].on_receive(0, payload); v[1].on_receive(ts)
-        else:
-            payload = m[1].on_send(); ts = v[1].on_send()
-            m[0].on_receive(1, payload); v[0].on_receive(ts)
-        for i in (0, 1):
-            assert m[i].vector() == v[i].read()
-            assert m[i].min_row() <= m[i].vector()
 
 
 # ---------------------------------------------------------------------------

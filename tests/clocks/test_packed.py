@@ -1,12 +1,10 @@
 """Equivalence properties for the packed-int64 timestamp encoding.
 
-The SWAR fast paths (pairwise ``__le__``/``__lt__``/``concurrent_with``,
-the bare-word :func:`packed_le`, and the :func:`_packed_leq`-backed
-batch kernels) must be unobservable: for every width n = 1..8 and any
-mix of packable and overflowing components, results agree bit-for-bit
-with the component-wise definitions.  These tests pin that claim,
-including the transparent fallback when a component exceeds
-:func:`packed_capacity`.
+The cached word (:meth:`VectorTimestamp.packed`), the bare-word SWAR
+compare :func:`packed_le` and the matrix packer :func:`pack_matrix`
+must agree bit-for-bit with the component-wise definitions for every
+width n = 1..8, and a component beyond :func:`packed_capacity` must
+leave the timestamp without a packed form.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from hypothesis import strategies as st
 from repro.clocks.vector import (
     PACKED_MAX_N,
     VectorTimestamp,
-    _sliced_leq,
     chain_concurrency_csr,
     concurrency_matrix,
     dominates_matrix,
@@ -65,28 +62,29 @@ def mixed_pairs(draw):
 
 @given(packable_pairs())
 def test_pairwise_packed_matches_componentwise(pair):
+    """``packed_le`` over the cached words is component-wise dominance."""
     a, b = pair
     ta, tb = VectorTimestamp(a), VectorTimestamp(b)
-    assert ta.packed() is not None and tb.packed() is not None
-    assert (ta <= tb) == reference_leq(a, b)
-    assert (ta < tb) == (a != b and reference_leq(a, b))
-    assert ta.concurrent_with(tb) == (
-        not reference_leq(a, b) and not reference_leq(b, a)
-    )
+    pa, pb = ta.packed(), tb.packed()
+    assert pa is not None and pb is not None
+    le = packed_le(len(a))
+    assert le(pa, pb) == reference_leq(a, b) == (ta <= tb)
+    assert le(pb, pa) == reference_leq(b, a) == (tb <= ta)
 
 
 @given(mixed_pairs())
 def test_pairwise_overflow_falls_back(pair):
-    """Components beyond capacity: packed() is None and every operator
-    silently uses the component path with identical results."""
+    """Components beyond capacity: packed() is None; where both sides
+    pack, ``packed_le`` still matches the definition."""
     a, b = pair
     ta, tb = VectorTimestamp(a), VectorTimestamp(b)
     cap = packed_capacity(len(a))
     for t, comps in ((ta, a), (tb, b)):
         expected_packable = max(comps) <= cap
         assert (t.packed() is not None) == expected_packable
+    if ta.packed() is not None and tb.packed() is not None:
+        assert packed_le(len(a))(ta.packed(), tb.packed()) == reference_leq(a, b)
     assert (ta <= tb) == reference_leq(a, b)
-    assert (ta < tb) == (a != b and reference_leq(a, b))
     assert ta.concurrent_with(tb) == (
         not reference_leq(a, b) and not reference_leq(b, a)
     )
@@ -177,16 +175,16 @@ def test_batch_kernels_match_pairwise(vecs):
 
 @given(timestamp_matrices())
 def test_packed_and_sliced_kernels_agree(vecs):
-    """The SWAR matrix kernel, the component-sliced one and the bare
-    word compare ``packed_le`` agree on every packable set."""
+    """The bare-word compare ``packed_le`` over :func:`pack_matrix`
+    words agrees with the component-sliced :func:`dominates_matrix` on
+    every packable set."""
     packed = pack_matrix(vecs)
     assume(packed is not None)
-    leq_packed = dominates_matrix([VectorTimestamp(row) for row in vecs])
-    assert np.array_equal(leq_packed, _sliced_leq(vecs, vecs))
+    leq = dominates_matrix([VectorTimestamp(row) for row in vecs])
     le = packed_le(vecs.shape[1])
     words = [int(w) for w in packed]
     assert np.array_equal(
-        leq_packed, np.array([[le(a, b) for b in words] for a in words])
+        leq, np.array([[le(a, b) for b in words] for a in words])
     )
 
 
@@ -204,14 +202,6 @@ def test_capacity_boundary(n):
     assert not (at <= small)
     assert not (over <= small)
     assert (at <= over) == reference_leq(at.as_tuple(), over.as_tuple())
-
-
-def test_interned_constants_prewarm_packed():
-    z = VectorTimestamp.zeros(4)
-    u = VectorTimestamp.unit(4, 2)
-    assert z._packed == 0
-    assert u.packed() == 1 << (2 * (64 // 4))
-    assert z <= u and not (u <= z)
 
 
 @settings(max_examples=25)

@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.clocks.base import ClockError
-from repro.clocks.vector import VectorClock, VectorTimestamp, compare, concurrent
+from repro.clocks.vector import (
+    VectorClock,
+    VectorTimestamp,
+    compare,
+    concurrency_matrix,
+    concurrent,
+    dominates_matrix,
+    stack_timestamps,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -61,14 +69,161 @@ def test_invalid_timestamps():
         VectorTimestamp([1, -1])
 
 
+@pytest.mark.parametrize("bad", [1.7, 2.0, "3", True, False, None])
+def test_non_integral_components_rejected(bad):
+    """Floats, strings and bools raise instead of being truncated or
+    coerced: VectorTimestamp([1.7, 2]) must not equal (1, 2)."""
+    with pytest.raises(ClockError):
+        VectorTimestamp([bad, 2])
+
+
+@pytest.mark.parametrize("bad", [[1.7, 2.0], [True, False], ["1", "2"]])
+def test_non_integral_arrays_rejected(bad):
+    with pytest.raises(ClockError):
+        VectorTimestamp(np.asarray(bad))
+
+
+def test_numpy_integer_components_accepted():
+    t = VectorTimestamp([np.int64(3), np.int32(1), 4])
+    assert t.as_tuple() == (3, 1, 4)
+    assert all(type(c) is int for c in t.as_tuple())
+    assert VectorTimestamp(np.asarray([3, 1, 4], dtype=np.int64)) == t
+    with pytest.raises(ClockError):
+        VectorTimestamp(np.zeros((2, 2), dtype=np.int64))
+
+
 def test_accessors():
     t = ts(4, 7)
     assert t.n == len(t) == 2
     assert t[1] == 7
     assert t.as_tuple() == (4, 7)
     assert t.sum() == 11
-    arr = t.as_array()
-    assert not arr.flags.writeable
+
+
+# Component vectors: values small enough to collide often.
+vectors = st.lists(st.integers(0, 6), min_size=1, max_size=12)
+
+
+@st.composite
+def vector_pairs(draw):
+    a = draw(vectors)
+    b = draw(st.lists(st.integers(0, 6), min_size=len(a), max_size=len(a)))
+    return a, b
+
+
+@given(vector_pairs())
+def test_comparisons_match_componentwise(pair):
+    a, b = pair
+    x, y = VectorTimestamp(a), VectorTimestamp(b)
+    ref_le = all(p <= q for p, q in zip(a, b))
+    ref_ge = all(q <= p for p, q in zip(a, b))
+    ref_eq = list(a) == list(b)
+    assert (x <= y) == ref_le
+    assert (x < y) == (ref_le and not ref_eq)
+    assert (x == y) == ref_eq
+    assert x.concurrent_with(y) == (not ref_le and not ref_ge)
+
+
+@given(vector_pairs())
+def test_merge_matches_componentwise(pair):
+    a, b = pair
+    expected = tuple(max(p, q) for p, q in zip(a, b))
+    m = VectorTimestamp(a).merge(VectorTimestamp(b))
+    assert m.as_tuple() == expected
+    assert m.sum() == sum(expected)
+
+
+@given(vectors)
+def test_hash_and_views_match_components(components):
+    t = VectorTimestamp(components)
+    trusted = VectorTimestamp._from_trusted_tuple(tuple(components))
+    assert t == trusted
+    assert hash(t) == hash(trusted) == hash(tuple(components))
+    assert t.as_tuple() == tuple(components)
+    assert t.sum() == sum(components)
+    assert list(t) == list(components)
+
+
+def test_interned_zeros_and_units():
+    assert VectorTimestamp.zeros(5) is VectorTimestamp.zeros(5)
+    assert VectorTimestamp.unit(5, 2) is VectorTimestamp.unit(5, 2)
+    assert VectorTimestamp.zeros(5).as_tuple() == (0,) * 5
+    assert VectorTimestamp.unit(5, 2).as_tuple() == (0, 0, 1, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Batch kernels vs the pairwise operators
+# ---------------------------------------------------------------------------
+
+@st.composite
+def timestamp_sets(draw, min_m=1, max_m=12, max_n=10):
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(min_m, max_m))
+    rows = draw(st.lists(
+        st.lists(st.integers(0, 5), min_size=n, max_size=n),
+        min_size=m, max_size=m,
+    ))
+    return [VectorTimestamp(row) for row in rows]
+
+
+@settings(max_examples=60)
+@given(timestamp_sets())
+def test_dominates_matrix_matches_pairwise(tss):
+    leq = dominates_matrix(tss)
+    m = len(tss)
+    assert leq.shape == (m, m)
+    for i in range(m):
+        for j in range(m):
+            assert bool(leq[i, j]) == (tss[i] <= tss[j])
+
+
+@settings(max_examples=60)
+@given(timestamp_sets(min_m=2))
+def test_concurrency_matrix_matches_pairwise(tss):
+    conc = concurrency_matrix(tss)
+    m = len(tss)
+    assert not conc.diagonal().any()
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                assert bool(conc[i, j]) == tss[i].concurrent_with(tss[j])
+    assert np.array_equal(conc, conc.T)
+
+
+@given(timestamp_sets())
+def test_stack_timestamps_shape_and_values(tss):
+    stacked = stack_timestamps(tss)
+    assert stacked.shape == (len(tss), tss[0].n)
+    assert stacked.dtype == np.int64
+    for i, t in enumerate(tss):
+        assert tuple(int(x) for x in stacked[i]) == t.as_tuple()
+
+
+def test_wide_vector_batch_kernels():
+    """A width-70 set (far beyond the packed encoding) through the
+    batch kernels, the pairwise operators and merge."""
+    rng = np.random.default_rng(7)
+    n, m = 70, 40
+    tss = [VectorTimestamp(rng.integers(0, 4, size=n)) for _ in range(m)]
+    # Chain some stamps so the set holds comparable pairs, not only races.
+    tss += [tss[0].merge(t) for t in tss[1:6]]
+    assert stack_timestamps(tss).shape == (len(tss), n)
+    leq = dominates_matrix(tss)
+    conc = concurrency_matrix(tss)
+    for i in range(len(tss)):
+        for j in range(len(tss)):
+            assert bool(leq[i, j]) == (tss[i] <= tss[j])
+            if i != j:
+                assert bool(conc[i, j]) == tss[i].concurrent_with(tss[j])
+    assert leq[0, m:].all()
+    assert tss[0].packed() is None
+
+
+def test_batch_kernels_empty_and_width_mismatch():
+    assert dominates_matrix([]).shape == (0, 0)
+    assert concurrency_matrix([]).shape == (0, 0)
+    with pytest.raises(ClockError):
+        stack_timestamps([ts(1, 2), ts(1, 2, 3)])
 
 
 # ---------------------------------------------------------------------------
