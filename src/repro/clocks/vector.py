@@ -285,14 +285,17 @@ def concurrent(a: VectorTimestamp, b: VectorTimestamp) -> bool:
 
 def stack_timestamps(timestamps: Sequence[VectorTimestamp]) -> "np.ndarray":
     """Stack m same-width timestamps into an (m, n) int64 matrix."""
-    ts = list(timestamps)
-    if not ts:
+    rows = [t._t for t in timestamps]
+    if not rows:
         return np.zeros((0, 0), dtype=np.int64)
-    n = ts[0].n
-    for t in ts:
-        if t.n != n:
-            raise ClockError(f"vector width mismatch: {n} vs {t.n}")
-    return np.asarray([t._t for t in ts], dtype=np.int64)
+    try:
+        return np.asarray(rows, dtype=np.int64)
+    except ValueError as exc:                    # inhomogeneous shape
+        n = len(rows[0])
+        other = next((len(r) for r in rows if len(r) != n), None)
+        if other is None:
+            raise
+        raise ClockError(f"vector width mismatch: {n} vs {other}") from exc
 
 
 def pack_matrix(vecs: "np.ndarray") -> "np.ndarray | None":

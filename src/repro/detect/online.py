@@ -385,17 +385,18 @@ class OnlineVectorStrobeDetector(_LivenessMixin, _OnlineObsMixin, VectorStrobeDe
         env = self._env
         prevs = self._prevs
         state = self._state
+        extra = {"emit_time": now}
         for k in range(stable):
             rec = suffix[k]
             prev = env.get(rec.var)
             env[rec.var] = rec.value
             prevs.append(prev)
-            before = len(self.detections)
-            self._step(
-                prefix_len + k, rec, env, vars_l, vals_l, prevs, races[k], state,
-                detail_extra={"emit_time": now},
+            race = races[k]
+            row = self._truth(
+                prefix_len + k, env, race, vars_l, vals_l, prevs, state["prev_lin"]
             )
-            for d in self.detections[before:]:
+            d = None if row is None else self._emit(state, rec, env, *row, len(race), extra)
+            if d is not None:
                 self.emissions.append((d, now))
                 if self._m_latency is not None:
                     self._m_latency.observe(now - d.trigger.true_time)

@@ -59,7 +59,7 @@ class _MemoizedEval:
 
     __slots__ = (
         "_predicate", "_vars", "_varset", "_index", "_getter", "_fast",
-        "_interval", "_cache",
+        "_interval", "_array", "_cache",
     )
 
     def __init__(self, predicate: Predicate) -> None:
@@ -78,6 +78,8 @@ class _MemoizedEval:
         self._fast = predicate.value_evaluator()
         #: bounds-based evaluator (monotone predicates), or None
         self._interval = predicate.interval_evaluator()
+        #: array form of ``_interval`` (batched offline finalize), or None
+        self._array = predicate.interval_array_evaluator()
         self._cache: dict = {}
 
     def _eval_values(self, values) -> bool | None:
@@ -332,70 +334,200 @@ class VectorStrobeDetector(Detector):
         return results
 
     # ------------------------------------------------------------------
-    def _step(
+    def _truth(
         self,
         i: int,
-        rec: SensedEventRecord,
         env: dict,
+        race: list[int],
         vars_l: list[str],
         vals_l: list[Any],
         prevs: list[Any],
-        race: list[int],
-        state: dict,
-        *,
-        detail_extra: dict | None = None,
-    ) -> None:
-        """Process one linearized record: evaluate φ, run race analysis,
-        emit detections.  ``state`` carries ``prev_lin``/``prev_possible``
-        across calls (shared by the offline and online paths).
+        prev_lin: bool,
+    ) -> tuple[bool, bool, bool] | None:
+        """Truth phase for one linearized record: ``(cur, possible,
+        certain)`` — φ in the linearization and whether some / every
+        race resolution makes it true — or None when φ is undefined
+        (a declared variable is still absent).
 
-        ``env`` is the *live* linearization environment after applying
-        record i — it is copied only on emission, so callers may keep
-        mutating it afterwards.  ``vars_l``/``vals_l`` give variable and
-        post-event value per linearization index, ``race`` the indices
-        of records concurrent with record i, and ``prevs[j]`` the
-        pre-event value of applied record j (j ≤ i)."""
+        ``env`` is the linearization environment after applying record
+        i, ``vars_l``/``vals_l`` give variable and post-event value per
+        linearization index, ``race`` the indices of records concurrent
+        with record i, ``prevs[j]`` the pre-event value of applied
+        record j (j ≤ i), and ``prev_lin`` the emission state's φ."""
         cur = self._eval.evaluate_safe(env)
         if cur is None:
-            return
+            return None
         cur = bool(cur)
-        if cur and state["prev_lin"]:
+        if cur and prev_lin:
             # Not a rising edge: nothing can be emitted here, and with
             # the linearization itself witnessing φ, ``possible`` is
             # True whatever the race resolves to — skip the analysis.
-            state["prev_possible"] = True
-            return
-        if race:
-            results = self._race_results(env, cur, race, vars_l, vals_l, prevs, i)
-        else:
-            results = (cur,)         # no race: only the linearization value
-
+            return True, True, True
+        if not race:
+            return cur, cur, cur     # no race: only the linearization value
+        results = self._race_results(env, cur, race, vars_l, vals_l, prevs, i)
         if results is None:          # too tangled: unknown
-            possible, certain = True, False
-        else:
-            possible = True in results
-            certain = False not in results
+            return cur, True, False
+        return cur, True in results, False not in results
 
-        if cur and not state["prev_lin"]:
-            detail = {"race_size": len(race)}
+    def _emit(
+        self,
+        state: dict,
+        rec: SensedEventRecord,
+        env: dict,
+        cur: bool,
+        possible: bool,
+        certain: bool,
+        race_size: int,
+        detail_extra: dict | None = None,
+    ) -> Detection | None:
+        """Emission phase: the labelling rules, shared by the offline and
+        online paths.  ``state`` carries ``prev_lin``/``prev_possible``
+        across records; returns the detection emitted at ``rec``, if
+        any.  ``env`` is copied only on emission, so callers may keep
+        mutating it afterwards.  A record whose ``(cur, possible)``
+        equals the state's ``(prev_lin, prev_possible)`` emits nothing
+        and leaves the state as it was, so callers may skip it."""
+        prev_lin = state["prev_lin"]
+        detection = None
+        if cur and not prev_lin:
+            detail = {"race_size": race_size}
             if detail_extra:
                 detail.update(detail_extra)
             label = DetectionLabel.FIRM if certain else DetectionLabel.BORDERLINE
-            self.detections.append(
-                Detection(self.name, rec, dict(env), label, detail=detail)
-            )
-        elif (not cur) and possible and not state["prev_possible"] and not state["prev_lin"]:
+            detection = Detection(self.name, rec, dict(env), label, detail=detail)
+        elif (not cur) and possible and not state["prev_possible"] and not prev_lin:
             # The linearization says false, but a race resolution says
             # true: borderline (potential missed occurrence).
-            detail = {"race_size": len(race)}
+            detail = {"race_size": race_size}
             if detail_extra:
                 detail.update(detail_extra)
             detail["lin_false"] = True
-            self.detections.append(
-                Detection(self.name, rec, dict(env), DetectionLabel.BORDERLINE, detail=detail)
+            detection = Detection(
+                self.name, rec, dict(env), DetectionLabel.BORDERLINE, detail=detail
             )
+        if detection is not None:
+            self.detections.append(detection)
         state["prev_lin"] = cur
         state["prev_possible"] = possible
+        return detection
+
+    def _truth_arrays(
+        self,
+        vars_l: list[str],
+        vals_l: list[Any],
+        cols: np.ndarray,
+        indptr: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Batched truth phase over the whole linearization: boolean
+        ``(cur, possible, certain)`` rows equal to :meth:`_truth`'s
+        record by record, or None when the values are not eligible (see
+        :func:`_exact_floats`).
+
+        The predicate environment is an (m, V) float matrix, each
+        variable's column forward-filled from its records, so a
+        record's pre-event value is one row up.  A row that needs race
+        analysis gets per-variable [lo, hi] bounds from one
+        ``minimum.at`` / ``maximum.at`` pass over its CSR entries, and
+        the predicate's array evaluator folds them.  A row whose
+        combination bound Π(c_v + 1) (c_v racing records of variable v)
+        may exceed the cap runs :meth:`_truth`, whose exact set-based
+        analysis keeps its None ("too tangled")."""
+        pvars = self._eval._vars
+        width = len(pvars)
+        m = len(vars_l)
+        col = np.fromiter(
+            map(self._eval._index.get, vars_l, itertools.repeat(width)),
+            dtype=np.intp, count=m,
+        )
+        rows = np.flatnonzero(col < width)
+        picked = vals_l if rows.size == m else [vals_l[k] for k in rows.tolist()]
+        values = _exact_floats([self.initials[v] for v in pvars] + list(picked))
+        if values is None:
+            return None
+        init = values[:width]
+        post = np.zeros(m)                       # post-event value per record
+        post[rows] = values[width:]
+        # env[i, c]: variable c after record i, from its latest record.
+        last = np.full((m, width), -1, dtype=np.intp)
+        last[rows, col[rows]] = rows
+        np.maximum.accumulate(last, axis=0, out=last)
+        env = np.where(last >= 0, post[last], init)
+        prev = np.zeros(m)                       # pre-event value per record
+        prev[rows] = np.where(rows > 0, env[rows - 1, col[rows]], init[col[rows]])
+        cur, _ = self._eval._array(env, env)
+        sizes = np.diff(indptr)
+        # _truth's skip: rows with no race or continuing φ need no analysis.
+        skip = cur & np.concatenate(([False], cur[:-1]))
+        need = (sizes > 0) & ~skip
+        entry_row = np.repeat(np.arange(m), sizes)
+        keep = need[entry_row]
+        i, j = entry_row[keep], cols[keep]
+        # _race_results' combination bound, over every racing variable,
+        # in log2 with a margin: rows at or near the cap take the exact
+        # path.
+        code, kinds = col, width
+        if rows.size < m:                        # variables φ does not read
+            names: dict[str, int] = {}
+            code = np.fromiter(
+                (names.setdefault(v, len(names)) for v in vars_l),
+                dtype=np.intp, count=m,
+            )
+            kinds = len(names)
+        pairs, counts = np.unique(i * kinds + code[j], return_counts=True)
+        bound = np.bincount(
+            pairs // kinds, weights=np.log2(counts + 1.0), minlength=m
+        )
+        cap = self._max_combos
+        tangled = need & (bound > np.log2(cap) - 1e-9 if cap >= 1 else True)
+        fast = need & ~tangled
+        # Fast rows' entries that race a predicate variable: the racing
+        # record's pre-event value if already applied, else its post.
+        c = col[j]
+        keep = fast[i] & (c < width)
+        i, j, c = i[keep], j[keep], c[keep]
+        alt = np.where(j <= i, prev[j], post[j])
+        lo = env.copy()
+        hi = env.copy()
+        np.minimum.at(lo, (i, c), alt)
+        np.maximum.at(hi, (i, c), alt)
+        true_reachable, false_reachable = self._eval._array(lo, hi)
+        possible = np.where(fast, true_reachable, cur) | skip
+        certain = np.where(fast, ~false_reachable, cur) | skip
+        if tangled.any():
+            self._resolve_tangled(
+                np.flatnonzero(tangled), possible, certain,
+                vars_l, vals_l, cols, indptr,
+            )
+        return cur, possible, certain
+
+    def _resolve_tangled(
+        self,
+        tangled: np.ndarray,
+        possible: np.ndarray,
+        certain: np.ndarray,
+        vars_l: list[str],
+        vals_l: list[Any],
+        cols: np.ndarray,
+        indptr: np.ndarray,
+    ) -> None:
+        """Per-record truth phase for the ``tangled`` rows (ascending,
+        none of them skipped), writing their ``possible``/``certain`` in
+        place."""
+        env = dict(self.initials)
+        env_get = env.get
+        prevs: list[Any] = []
+        prevs_append = prevs.append
+        done = 0
+        for i in tangled.tolist():
+            for var, value in zip(vars_l[done:i + 1], vals_l[done:i + 1]):
+                prevs_append(env_get(var))
+                env[var] = value
+            done = i + 1
+            race = cols[indptr[i]:indptr[i + 1]].tolist()
+            _, possible[i], certain[i] = self._truth(
+                i, env, race, vars_l, vals_l, prevs, False
+            )
 
     @staticmethod
     def _sort_key(r: SensedEventRecord):
@@ -433,28 +565,83 @@ class VectorStrobeDetector(Detector):
         records = self.store.all()
         self._check_stamps(records)
         ordered, vecs, chains = self._linearize(records)
-        cols_a, indptr_a = chain_concurrency_csr(vecs, chains)
-        cols = cols_a.tolist()       # Python ints: cheap slices/indexing
-        bounds = indptr_a.tolist()
+        cols, indptr = chain_concurrency_csr(vecs, chains)
         vars_l = [r.var for r in ordered]
         vals_l = [r.value for r in ordered]
-
         self.detections = []
+        truth = None
+        if self._eval._array is not None:
+            truth = self._truth_arrays(vars_l, vals_l, cols, indptr)
+        if truth is None:
+            self._finalize_per_record(
+                ordered, vars_l, vals_l, cols.tolist(), indptr.tolist()
+            )
+            return self.detections
+        cur, possible, certain = truth
+        # Only rows that move (cur, possible) can emit (see _emit); the
+        # environment is replayed up to each one.
+        moved = (cur != np.concatenate(([False], cur[:-1]))) | (
+            possible != np.concatenate(([False], possible[:-1]))
+        )
+        cur, possible, certain = cur.tolist(), possible.tolist(), certain.tolist()
+        sizes = np.diff(indptr).tolist()
+        state = {"prev_lin": False, "prev_possible": False}
+        env = dict(self.initials)
+        done = 0
+        for i in np.flatnonzero(moved).tolist():
+            env.update(zip(vars_l[done:i + 1], vals_l[done:i + 1]))
+            done = i + 1
+            self._emit(
+                state, ordered[i], env, cur[i], possible[i], certain[i], sizes[i]
+            )
+        return self.detections
+
+    def _finalize_per_record(
+        self,
+        ordered: list[SensedEventRecord],
+        vars_l: list[str],
+        vals_l: list[Any],
+        cols: list[int],
+        bounds: list[int],
+    ) -> None:
+        """Per-record offline path: truth and emission phase per record
+        of the linearization (``cols``/``bounds`` the race CSR)."""
         state = {"prev_lin": False, "prev_possible": False}
         env = dict(self.initials)
         env_get = env.get
-        step = self._step
+        truth = self._truth
+        emit = self._emit
         prevs: list[Any] = []
         prevs_append = prevs.append
         for i, rec in enumerate(ordered):
             var = rec.var
             prevs_append(env_get(var))
             env[var] = rec.value
-            step(
-                i, rec, env, vars_l, vals_l, prevs,
-                cols[bounds[i]:bounds[i + 1]], state,
-            )
-        return self.detections
+            race = cols[bounds[i]:bounds[i + 1]]
+            row = truth(i, env, race, vars_l, vals_l, prevs, state["prev_lin"])
+            if row is not None:
+                emit(state, rec, env, *row, len(race))
+
+
+def _exact_floats(values: list[Any]) -> np.ndarray | None:
+    """``values`` as float64 when every one is a finite ``int``,
+    ``float`` or ``bool`` that converts exactly (ints below 2^53 in
+    magnitude), so array arithmetic repeats Python's bit for bit; else
+    None."""
+    types = set(map(type, values))
+    if not types <= {int, float, bool}:
+        return None
+    try:
+        out = np.array(values, dtype=np.float64)
+    except OverflowError:                        # an int beyond float range
+        return None
+    if not np.isfinite(out).all():
+        return None
+    if int in types:
+        big = np.flatnonzero(np.abs(out) >= 2.0 ** 53)
+        if any(type(values[k]) is int for k in big.tolist()):
+            return None
+    return out
 
 
 __all__ = ["VectorStrobeDetector"]

@@ -104,6 +104,22 @@ class Predicate(ABC):
         """
         return None
 
+    def interval_array_evaluator(self) -> "Any | None":
+        """Optional array form of :meth:`interval_evaluator`, for
+        evaluating race analysis over a whole linearization at once.
+
+        Returns a callable ``(lows, highs) -> (true_reachable,
+        false_reachable)``: ``lows``/``highs`` are ``(k, V)`` float64
+        matrices whose columns follow ``tuple(self.variables)``, and row
+        r lets variable c take any value in ``[lows[r, c], highs[r,
+        c]]``.  Row r of each boolean result must equal ``True in s`` /
+        ``False in s`` for ``s`` the :meth:`interval_evaluator` result
+        on those bounds, bit for bit; with ``lows is highs`` the first
+        result is ``evaluate`` row by row.  Returns ``None`` when the
+        predicate has no such form; callers then evaluate per record.
+        """
+        return None
+
     # ------------------------------------------------------------------
     # Algebra — §3.1: "Combinations of the above can also be constructed."
     # Composition yields general predicates (the conjunctive *structure*

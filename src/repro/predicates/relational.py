@@ -17,6 +17,8 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, Sequence
 
+import numpy as np
+
 from repro.predicates.base import Predicate, PredicateError
 
 
@@ -91,6 +93,12 @@ class SumThresholdPredicate(RelationalPredicate):
             raise PredicateError(f"duplicate variables: {names}")
         self._weights = {name: float(w) for name, _, w in terms}
         self._threshold = float(threshold)
+        # The weighted total as one compiled left fold in term order
+        # (``_w0 * v[0] + _w1 * v[1] + ...``), shared by the scalar and
+        # array race evaluators: ``v[k]`` may be a number or a column.
+        ns = {f"_w{k}": w for k, w in enumerate(self._weights.values())}
+        fold = " + ".join(f"_w{k} * v[{k}]" for k in range(len(ns)))
+        self._fold = eval(f"lambda v: {fold}", ns)  # codegen, trusted input
         variables = {name: pid for name, pid, _ in terms}
         # The lambda runs under evaluate()'s check_env, so it can use
         # the unchecked sum (total() would re-validate per call).
@@ -136,12 +144,9 @@ class SumThresholdPredicate(RelationalPredicate):
         * ``False`` is reachable ⇔  min-endpoint total ≤ threshold.
         """
         weights = tuple(self._weights.values())
-        threshold = self._threshold
-        ns = {f"_w{k}": w for k, w in enumerate(weights)}
-        fold = " + ".join(f"_w{k} * v[{k}]" for k in range(len(weights)))
-        total = eval(f"lambda v: {fold}", ns)  # codegen, trusted input
 
-        def _eval(base, positions, lows, highs, _w=weights, _th=threshold, _t=total):
+        def _eval(base, positions, lows, highs, _w=weights, _th=self._threshold,
+                  _t=self._fold):
             lo = list(base)
             hi = list(base)
             for k, pos in enumerate(positions):
@@ -157,6 +162,26 @@ class SumThresholdPredicate(RelationalPredicate):
             if _t(lo) <= _th:
                 out.add(False)
             return out
+
+        return _eval
+
+    def interval_array_evaluator(self):
+        """Array form of :meth:`interval_evaluator` (see
+        :meth:`Predicate.interval_array_evaluator`).
+
+        The endpoint swap for negative weights and the compiled term
+        fold are those of the scalar form, applied to whole columns, so
+        every row's float totals are the scalar form's bit for bit.
+        """
+        flip = ~(np.array(tuple(self._weights.values())) >= 0)
+        threshold = self._threshold
+        fold = self._fold
+
+        def _eval(lows, highs):
+            lo = np.where(flip, highs, lows).T
+            hi = np.where(flip, lows, highs).T
+            with np.errstate(all="ignore"):     # IEEE results, as in Python
+                return fold(hi) > threshold, fold(lo) <= threshold
 
         return _eval
 

@@ -149,11 +149,14 @@ class WalServer:
         # The scenario is built only for its predicate and initial
         # environment; the server's time axis is its own bare kernel,
         # advanced to each record's arrival time on ingest.
-        _, phi, initials = build_scenario(
+        scenario, phi, initials = build_scenario(
             self.manifest.scenario,
             seed=self.manifest.seed,
             delta=self.manifest.delta,
         )
+        #: process count of the served system: every record's pid and
+        #: vector widths are checked against it on ingest
+        self.n_processes = len(scenario.system.processes)
         self.sim = Simulator()
         cls = (
             OnlineVectorStrobeDetector
@@ -257,15 +260,27 @@ class WalServer:
             self.sim.run(until=arrival)
         self.detector.feed(record)
 
+    def _check_record(self, record: SensedEventRecord) -> None:
+        """Reject a record that decodes but cannot belong to the served
+        system: a pid, or a vector width, other than its process count."""
+        n = self.n_processes
+        if not 0 <= record.pid < n:
+            raise ValueError(f"pid {record.pid} outside the {n} processes")
+        for stamp in (record.vector, record.strobe_vector):
+            if stamp is not None and stamp.n != n:
+                raise ValueError(f"vector width {stamp.n}, expected {n}")
+
     def ingest(self, spec: dict[str, Any]) -> None:
         """WAL-first ingest of one record spec; checkpoints every
         ``checkpoint_every`` records.  A spec that does not decode to a
-        record raises :class:`WalError` and leaves the WAL untouched, so
-        one malformed line cannot poison every later reopen."""
+        record of the served system raises :class:`WalError` and leaves
+        the WAL untouched, so one malformed line cannot poison every
+        later reopen."""
         if self.finalized:
             raise WalError(f"{self.dir}: serve already finalized")
         try:
             arrival, record = record_from_spec(spec)
+            self._check_record(record)
         except (KeyError, TypeError, ValueError) as exc:
             raise WalError(
                 f"{self.dir}: malformed record {spec!r}: {exc!r}"
