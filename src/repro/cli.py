@@ -440,17 +440,13 @@ def cmd_sweep(args) -> int:
 def cmd_lint(args) -> int:
     """Run the determinism/causality analyzer over files or trees.
 
-    Exit codes: 0 clean, 1 findings (or, with --fix --check, pending
-    fixes), 2 usage error.
+    Exit codes: 0 clean, 1 findings, 2 usage error.
     """
     from repro.lint import (
         PROJECT_RULES,
         RULES,
-        Baseline,
-        BaselineError,
         LintCache,
         LintUsageError,
-        fix_paths,
         lint_paths,
     )
 
@@ -463,46 +459,12 @@ def cmd_lint(args) -> int:
     select = None
     if args.select:
         select = [s for chunk in args.select for s in chunk.split(",") if s]
-
-    if args.fix or args.diff:
-        try:
-            fix_report = fix_paths(
-                args.paths,
-                select=select,
-                write=args.fix and not (args.check or args.diff),
-            )
-        except LintUsageError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-        if args.diff:
-            sys.stdout.write(fix_report.render_diff())
-        print(fix_report.summary())
-        if args.check:
-            return 0 if fix_report.clean else 1
-        if args.diff and not args.fix:
-            return 0
-        # fall through and lint the (now fixed) tree
-
     cache = None if args.no_cache else LintCache(args.cache_dir)
-    baseline = None
-    if args.baseline is not None and not args.update_baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except BaselineError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
     try:
-        report = lint_paths(
-            args.paths, select=select, cache=cache, baseline=baseline
-        )
+        report = lint_paths(args.paths, select=select, cache=cache)
     except LintUsageError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
-    if args.update_baseline:
-        path = args.baseline or "lint-baseline.json"
-        Baseline.from_findings(report.findings).save(path)
-        print(f"baseline written: {path} ({len(report.findings)} finding(s))")
-        return 0
     print(report.render_json() if args.json else report.render_text())
     return 0 if report.clean else 1
 
@@ -730,8 +692,8 @@ def cmd_replay_verify(args) -> int:
                   "(replay still identical)", file=sys.stderr)
     else:
         div = report["divergence"]
-        print(f"DIVERGED at line {div['lineno']} "
-              f"(recorded {report['recorded_lines']} lines, "
+        print(f"DIVERGED at line {div['lineno']} ({div['kind']}; "
+              f"recorded {report['recorded_lines']} lines, "
               f"replayed {report['replayed_lines']})")
         print(f"  recorded: {div['recorded']}")
         print(f"  replayed: {div['replayed']}")
@@ -1197,26 +1159,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated rule ids to run (default: all)")
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalogue and exit")
-    p.add_argument("--fix", action="store_true",
-                   help="apply mechanical fixes (sorted() wraps, "
-                        "substream_seed rewrites, sort_keys=True) in place, "
-                        "then lint the fixed tree")
-    p.add_argument("--diff", action="store_true",
-                   help="preview pending fixes as a unified diff "
-                        "without writing")
-    p.add_argument("--check", action="store_true",
-                   help="with --fix: dry-run; exit 1 if any fix is "
-                        "pending (the CI no-drift gate)")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the incremental finding cache")
     p.add_argument("--cache-dir", metavar="DIR", default=".repro-lint-cache",
                    help="cache location (default: .repro-lint-cache)")
-    p.add_argument("--baseline", metavar="PATH", default=None,
-                   help="adoption baseline JSON; listed legacy findings "
-                        "are tallied, not reported")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="rewrite --baseline (default lint-baseline.json) "
-                        "from the current findings and exit")
     p.set_defaults(fn=cmd_lint)
 
     p = sub.add_parser(

@@ -29,7 +29,7 @@ import json
 from collections import Counter
 from typing import Any
 
-from repro.faults.plan import FaultPlan, FaultWindow
+from repro.faults.plan import FaultPlan, FaultWindow, window_at
 
 #: Quarantine horizon used by the chaos detectors (advisory; motion
 #: gaps in the office run tens of seconds, so keep this generous).
@@ -137,10 +137,7 @@ def _attribute(
     per_window: list[list[float]] = [[] for _ in windows]
     unattributed: list[float] = []
     for t in sorted(times):
-        best = -1
-        for i, w in enumerate(windows):
-            if w.start <= t + 1e-9:
-                best = i
+        best = window_at(windows, t)
         if best < 0:
             unattributed.append(t)
         else:

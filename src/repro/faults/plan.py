@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
 
 class FaultError(Exception):
@@ -146,6 +146,17 @@ class FaultWindow:
     params: Mapping[str, Any] = field(default_factory=dict)
 
 
+def window_at(windows: Sequence[FaultWindow], t: float) -> int:
+    """Index of the latest window that started at or before ``t`` (with
+    1 ns slack for float noise), or -1 — the one attribution rule the
+    chaos report and ``trace diff`` share."""
+    best = -1
+    for i, w in enumerate(windows):
+        if w.start <= t + 1e-9:
+            best = i
+    return best
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """An ordered, composable set of fault events.
@@ -252,4 +263,5 @@ __all__ = [
     "FaultEvent",
     "FaultWindow",
     "FaultPlan",
+    "window_at",
 ]

@@ -15,20 +15,15 @@ here in two complementary layers:
   race rules over the :mod:`repro.lint.projgraph` call graph — the
   hazards that cross module boundaries and are invisible per-file.
 
-* **Runtime checkers** (:mod:`repro.lint.runtime`): same-timestamp
-  tie-break divergence between identical-seed runs and non-monotonic
-  clock merges, caught while a kernel actually runs.
-
-Supporting machinery: an incremental finding cache
-(:mod:`repro.lint.cache`), a mechanical autofixer
-(:mod:`repro.lint.fixer`), and an adoption baseline
-(:mod:`repro.lint.baseline`).
+An incremental finding cache (:mod:`repro.lint.cache`) keeps warm runs
+cheap.  What only a run exposes — two same-seed runs firing tied
+events in a different order — is labelled by
+:func:`repro.trace.first_divergence` instead.
 
 Rule catalogue, rationale, and suppression syntax:
 ``docs/static_analysis.md``.
 """
 
-from repro.lint.baseline import BASELINE_VERSION, Baseline, BaselineError
 from repro.lint.cache import CACHE_VERSION, LintCache, project_digest, source_digest
 from repro.lint.dataflow import PROJECT_RULES, ProjectRule
 from repro.lint.engine import (
@@ -41,53 +36,23 @@ from repro.lint.engine import (
     parse_suppressions,
 )
 from repro.lint.findings import PARSE_ERROR_RULE, Finding
-from repro.lint.fixer import FIXABLE_RULES, FixReport, fix_paths, fix_source
 from repro.lint.projgraph import ProjectGraph, plane_of
 from repro.lint.rules import RULES, LintContext, Rule
-from repro.lint.runtime import (
-    ClockMonotonicityError,
-    Divergence,
-    FiredEvent,
-    FiringRecorder,
-    MergeViolation,
-    MonotonicClockChecker,
-    check_determinism,
-    checked_clock,
-    count_tied_slots,
-    find_divergence,
-)
 
 __all__ = [
-    "BASELINE_VERSION",
     "CACHE_VERSION",
-    "FIXABLE_RULES",
     "JSON_SCHEMA_VERSION",
     "PARSE_ERROR_RULE",
     "PROJECT_RULES",
     "RULES",
-    "Baseline",
-    "BaselineError",
-    "ClockMonotonicityError",
-    "Divergence",
     "Finding",
-    "FiredEvent",
-    "FiringRecorder",
-    "FixReport",
     "LintCache",
     "LintContext",
     "LintReport",
     "LintUsageError",
-    "MergeViolation",
-    "MonotonicClockChecker",
     "ProjectGraph",
     "ProjectRule",
     "Rule",
-    "check_determinism",
-    "checked_clock",
-    "count_tied_slots",
-    "find_divergence",
-    "fix_paths",
-    "fix_source",
     "iter_python_files",
     "lint_paths",
     "lint_source",

@@ -16,8 +16,7 @@ Two rule layers run under one report: the per-file AST rules
 ProjectGraph`.  ``lint_paths`` accepts an optional
 :class:`~repro.lint.cache.LintCache` (raw findings keyed by content
 digest — suppressions and warnings are always recomputed live, so
-cached and uncached runs render byte-identical reports) and an
-optional :class:`~repro.lint.baseline.Baseline` adoption file.
+cached and uncached runs render byte-identical reports).
 
 The engine walks paths deterministically (sorted), so output and exit
 codes are stable — the linter holds itself to the invariant it checks.
@@ -32,7 +31,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from repro.lint.baseline import Baseline
 from repro.lint.cache import LintCache
 from repro.lint.dataflow import PROJECT_RULES
 from repro.lint.findings import PARSE_ERROR_RULE, Finding
@@ -40,8 +38,9 @@ from repro.lint.projgraph import ProjectGraph
 from repro.lint.rules import RULES, LintContext
 
 #: Bump when the JSON output schema changes shape.  v2 added
-#: ``suppressed``/``baselined`` per-rule counts and ``warnings``.
-JSON_SCHEMA_VERSION = 2
+#: ``suppressed`` per-rule counts and ``warnings``; v3 dropped the
+#: ``baselined`` counts along with the adoption baseline.
+JSON_SCHEMA_VERSION = 3
 
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?P<file>-file)?"
@@ -199,8 +198,6 @@ class LintReport:
     files_checked: int
     #: per-rule counts of findings silenced by ``noqa`` directives.
     suppressed: dict[str, int] = field(default_factory=dict)
-    #: per-rule counts of findings absorbed by the adoption baseline.
-    baselined: dict[str, int] = field(default_factory=dict)
     #: advisory messages (reason-less noqa, …); never affect exit code.
     warnings: list[str] = field(default_factory=list)
 
@@ -233,7 +230,6 @@ class LintReport:
             "clean": self.clean,
             "counts": self.counts(),
             "suppressed": dict(sorted(self.suppressed.items())),
-            "baselined": dict(sorted(self.baselined.items())),
             "warnings": list(self.warnings),
             "findings": [f.as_dict() for f in self.findings],
         }
@@ -248,7 +244,6 @@ def lint_paths(
     select: Sequence[str] | None = None,
     respect_noqa: bool = True,
     cache: LintCache | None = None,
-    baseline: Baseline | None = None,
 ) -> LintReport:
     """Lint files and directories; directories are walked recursively.
 
@@ -256,8 +251,7 @@ def lint_paths(
     whole-program dataflow rules over a :class:`ProjectGraph` of every
     file in this invocation.  With ``cache``, raw findings are reused
     for content-identical files (suppressions stay live, so reports
-    are byte-identical either way); with ``baseline``, accepted legacy
-    findings are subtracted and tallied under ``baselined``.
+    are byte-identical either way).
     """
     rule_ids = _select_rules(select)
     file_ids = [r for r in rule_ids if r in RULES]
@@ -315,15 +309,10 @@ def lint_paths(
                     "the rule is wrong here so the audit trail survives"
                 )
 
-    baselined: dict[str, int] = {}
-    if baseline is not None:
-        kept, baselined = baseline.filter(kept)
-
     return LintReport(
-        findings=sorted(kept, key=Finding.sort_key),
+        findings=kept,
         files_checked=len(files),
         suppressed=dict(sorted(suppressed.items())),
-        baselined=baselined,
         warnings=warnings,
     )
 

@@ -11,6 +11,7 @@ delivery, what an online detector hosted there would have been fed.
 from __future__ import annotations
 
 import json
+import operator
 from pathlib import Path
 from typing import Any
 
@@ -70,8 +71,8 @@ def record_from_spec(spec: dict[str, Any]) -> tuple[float, SensedEventRecord]:
     vector = spec.get("vector")
     strobe_vector = spec.get("strobe_vector")
     record = SensedEventRecord(
-        pid=int(spec["pid"]),
-        seq=int(spec["seq"]),
+        pid=operator.index(spec["pid"]),
+        seq=operator.index(spec["seq"]),
         var=str(spec["var"]),
         value=_decode_value(spec["value"]),
         lamport=None if lamport is None else ScalarTimestamp(*lamport),

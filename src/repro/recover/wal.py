@@ -260,9 +260,16 @@ class WalServer:
             self.sim.run(until=arrival)
         self.detector.feed(record)
 
-    def _check_record(self, record: SensedEventRecord) -> None:
+    def _check_record(self, arrival: float, record: SensedEventRecord) -> None:
         """Reject a record that decodes but cannot belong to the served
-        system: a pid, or a vector width, other than its process count."""
+        system: an arrival outside ``[0, duration]`` (every served
+        stream comes from running the manifest to ``duration``; NaN
+        fails the test too), or a pid, or a vector width, other than
+        its process count."""
+        if not 0.0 <= arrival <= self.manifest.duration:
+            raise ValueError(
+                f"arrival t={arrival} outside [0, {self.manifest.duration}]"
+            )
         n = self.n_processes
         if not 0 <= record.pid < n:
             raise ValueError(f"pid {record.pid} outside the {n} processes")
@@ -280,7 +287,7 @@ class WalServer:
             raise WalError(f"{self.dir}: serve already finalized")
         try:
             arrival, record = record_from_spec(spec)
-            self._check_record(record)
+            self._check_record(arrival, record)
         except (KeyError, TypeError, ValueError) as exc:
             raise WalError(
                 f"{self.dir}: malformed record {spec!r}: {exc!r}"

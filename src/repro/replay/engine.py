@@ -184,7 +184,8 @@ class ReplayEngine:
         Returns a JSON-safe report.  ``identical`` is True when the
         re-recorded trace is byte-identical to the file (which implies
         identical detections).  Otherwise the report carries the first
-        diverging line with CausalGraph context.
+        diverging line, its tie-break/structural ``kind``, and
+        CausalGraph context.
         """
         manifest = self.manifest_of(trace_path)
         recorded_lines = [
@@ -205,35 +206,19 @@ class ReplayEngine:
             "code_digest_now": digest_now,
             "code_digest_match": manifest.code_digest == digest_now,
         }
-        if recorded_lines == replayed_lines:
-            report["identical"] = True
-            return report
-        report["identical"] = False
-        report["divergence"] = self._first_divergence(
-            trace_path, recorded_lines, replayed_lines
-        )
-        return report
+        from repro.trace.export import first_divergence
 
-    def _first_divergence(
-        self,
-        trace_path: "str | Path",
-        recorded: list[str],
-        replayed: list[str],
-    ) -> dict[str, Any]:
-        """Locate and causally contextualize the first differing line."""
-        index = next(
-            (i for i, (a, b) in enumerate(zip(recorded, replayed)) if a != b),
-            min(len(recorded), len(replayed)),
-        )
-        div: dict[str, Any] = {
-            "lineno": index + 1,
-            "recorded": recorded[index] if index < len(recorded) else None,
-            "replayed": replayed[index] if index < len(replayed) else None,
-        }
-        div["causal_context"] = self._causal_context(
-            trace_path, div["recorded"]
-        )
-        return div
+        div = first_divergence(recorded_lines, replayed_lines)
+        report["identical"] = div is None
+        if div is not None:
+            report["divergence"] = {
+                "lineno": div["lineno"],
+                "recorded": div["a"],
+                "replayed": div["b"],
+                "kind": div["kind"],
+                "causal_context": self._causal_context(trace_path, div["a"]),
+            }
+        return report
 
     def _causal_context(
         self, trace_path: "str | Path", line: "str | None"

@@ -18,6 +18,7 @@ from repro.trace.export import (
     TraceFormatError,
     default_schema_path,
     export_perfetto,
+    first_divergence,
     perfetto_document,
     perfetto_events,
     read_trace,
@@ -45,6 +46,7 @@ __all__ = [
     "TraceFormatError",
     "default_schema_path",
     "export_perfetto",
+    "first_divergence",
     "perfetto_document",
     "perfetto_events",
     "read_trace",

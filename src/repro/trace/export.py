@@ -477,18 +477,14 @@ def trace_diff(path_a: "str | Path", path_b: "str | Path") -> dict[str, Any]:
     unattributed = 0
     plan_spec = meta_b.get("plan") or meta_a.get("plan")
     if plan_spec and (only_a or only_b):
-        from repro.faults.plan import FaultPlan
+        from repro.faults.plan import FaultPlan, window_at
 
         wins = FaultPlan.from_spec(plan_spec).windows()
         per_window = [0] * len(wins)
         for counter in (only_a, only_b):
             for line in sorted(counter):
                 for _ in range(counter[line]):
-                    t = _time_of(line)
-                    best = -1
-                    for i, w in enumerate(wins):
-                        if w.start <= t + 1e-9:
-                            best = i
+                    best = window_at(wins, _time_of(line))
                     if best < 0:
                         unattributed += 1
                     else:
@@ -515,6 +511,61 @@ def trace_diff(path_a: "str | Path", path_b: "str | Path") -> dict[str, Any]:
     }
 
 
+#: Line fields that number events in firing order; two events that
+#: swap order at one sim time swap these and nothing else.
+_ORDINAL_FIELDS = ("gseq", "mid")
+
+
+def _row(line: "str | None") -> "dict[str, Any] | None":
+    if line is None:
+        return None
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    return row if isinstance(row, dict) else None
+
+
+def _time_peers(lines: Sequence[str], t: Any) -> Counter[str]:
+    """Multiset of the lines stamped ``t``, ordinal fields removed."""
+    peers: Counter[str] = Counter()
+    for line in lines:
+        row = _row(line)
+        if row is not None and row.get("t") == t:
+            for key in _ORDINAL_FIELDS:
+                row.pop(key, None)
+            peers[_dumps(row)] += 1
+    return peers
+
+
+def first_divergence(
+    a_lines: Sequence[str], b_lines: Sequence[str]
+) -> "dict[str, Any] | None":
+    """First line where two runs' JSONL renderings differ, or None.
+
+    Returns the 1-based ``lineno``, both lines (``a``/``b``; None past
+    the end of the shorter run) and a ``kind``: ``"tie-break"`` when
+    both runs hold the same multiset of lines at the diverging line's
+    ``t`` once :data:`_ORDINAL_FIELDS` are removed — the same events
+    fired in a different order, the signature of scheduling-order
+    nondeterminism — and ``"structural"`` otherwise, including for any
+    line without a ``t``.
+    """
+    index = next(
+        (i for i, (x, y) in enumerate(zip(a_lines, b_lines)) if x != y),
+        min(len(a_lines), len(b_lines)),
+    )
+    if index == len(a_lines) == len(b_lines):
+        return None
+    a = a_lines[index] if index < len(a_lines) else None
+    b = b_lines[index] if index < len(b_lines) else None
+    row = _row(a if a is not None else b)
+    t = None if row is None else row.get("t")
+    tie = t is not None and _time_peers(a_lines, t) == _time_peers(b_lines, t)
+    kind = "tie-break" if tie else "structural"
+    return {"lineno": index + 1, "a": a, "b": b, "kind": kind}
+
+
 __all__ = [
     "FORMAT_VERSION",
     "SUPPORTED_VERSIONS",
@@ -531,4 +582,5 @@ __all__ = [
     "validate_perfetto",
     "default_schema_path",
     "trace_diff",
+    "first_divergence",
 ]

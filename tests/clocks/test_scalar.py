@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.clocks.base import ClockError
 from repro.clocks.scalar import LamportClock, ScalarTimestamp
+from repro.clocks.vector import VectorClock, VectorTimestamp
 
 
 def test_initial_read_is_zero():
@@ -75,15 +76,33 @@ def test_initial_value_respected():
     assert c.on_local_event().value == 101
 
 
-@given(st.lists(st.sampled_from(["local", "send"]), max_size=50))
+@given(st.lists(
+    st.one_of(
+        st.sampled_from(["local", "send"]),
+        st.tuples(st.integers(0, 60), st.integers(0, 60)),   # a receive
+    ),
+    max_size=50,
+))
 def test_monotonicity_under_any_local_schedule(ops):
-    """Clock values strictly increase on every tick."""
+    """Lamport values strictly increase on every tick, and a vector
+    clock never loses a tick: SC1/SC2 and VC1/VC2 tick once, and an
+    SC3/VC3 receive dominates both the local state and the remote."""
     c = LamportClock(0)
-    prev = c.read().value
+    v = VectorClock(0, 2)
+    prev, vprev = c.read().value, v.read()
     for op in ops:
-        v = (c.on_local_event() if op == "local" else c.on_send()).value
-        assert v == prev + 1
-        prev = v
+        if isinstance(op, tuple):
+            remote = VectorTimestamp(op)
+            cur = c.on_receive(ScalarTimestamp(op[1], 1)).value
+            vcur = v.on_receive(remote)
+            assert cur > max(prev, op[1])
+            assert remote <= vcur and vcur[0] == max(vprev[0], op[0]) + 1
+        else:
+            cur = (c.on_local_event() if op == "local" else c.on_send()).value
+            vcur = v.on_local_event() if op == "local" else v.on_send()
+            assert cur == prev + 1 and vcur[0] == vprev[0] + 1
+        assert vprev <= vcur
+        prev, vprev = cur, vcur
 
 
 @given(st.integers(min_value=0, max_value=10**6))

@@ -156,17 +156,29 @@ def test_strobe_vector_merge_commutative(triples):
     assert c1.read() == c2.read()
 
 
-@given(st.lists(st.sampled_from(["event", "strobe"]), max_size=30))
+@given(st.lists(
+    st.one_of(
+        st.just("event"),
+        st.tuples(st.integers(0, 20), st.integers(0, 20)),   # a strobe
+    ),
+    max_size=30,
+))
 def test_strobe_vector_monotone(ops):
-    """The clock never regresses under any mix of SVC1/SVC2."""
+    """Neither strobe clock regresses under any mix of SVC1/SVC2 or
+    SSC1/SSC2: an event ticks once, and a merge dominates both the
+    local state and the strobe it took."""
     c = StrobeVectorClock(0, 2)
-    prev = c.read()
-    k = 0
+    sc = StrobeScalarClock(0)
+    prev, sprev = c.read(), sc.read().value
     for op in ops:
         if op == "event":
             cur = c.on_relevant_event()
+            scur = sc.on_relevant_event().value
+            assert cur[0] == prev[0] + 1 and scur == sprev + 1
         else:
-            k += 1
-            cur = c.on_strobe(vts(0, k))
-        assert prev <= cur
-        prev = cur
+            strobe = vts(*op)
+            cur = c.on_strobe(strobe)
+            scur = sc.on_strobe(ScalarTimestamp(op[1], 1)).value
+            assert strobe <= cur and scur >= op[1]
+        assert prev <= cur and sprev <= scur
+        prev, sprev = cur, scur

@@ -149,16 +149,33 @@ def test_det002_registry_streams_are_clean(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_det003_dumps_without_sort_keys(tmp_path):
-    root = _project(tmp_path, {
-        "repro/obs/out.py": """
-            import json
+@pytest.mark.parametrize("body, line", [
+    ("""
+        import json
 
-            def emit(doc):
-                return json.dumps(doc)
-            """,
-    })
+        def emit(doc):
+            return json.dumps(doc)
+        """, 5),
+    ("""
+        import json
+        doc = json.dumps({"b": 1, "a": 2})
+        """, 3),
+    ("""
+        import json as _json
+        doc = _json.dumps({"a": 2}, indent=1)
+        """, 3),
+    ("""
+        import json
+        doc = json.dumps(
+            {"a": 2},
+            indent=1,
+        )
+        """, 3),
+], ids=["param", "literal", "aliased", "multiline"])
+def test_det003_dumps_without_sort_keys(tmp_path, body, line):
+    root = _project(tmp_path, {"repro/obs/out.py": body})
     (f,) = _rules(root, "DET003")
+    assert f.line == line
     assert "sort_keys" in f.message
 
 

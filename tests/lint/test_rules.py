@@ -3,6 +3,8 @@ clean — the contract demanded by docs/static_analysis.md."""
 
 import textwrap
 
+import pytest
+
 from repro.lint import lint_source
 
 
@@ -70,11 +72,20 @@ class TestSIM001:
 # ---------------------------------------------------------------------------
 
 class TestSIM002:
-    def test_default_rng_literal_seed_flagged(self):
-        assert rule_ids("""
+    @pytest.mark.parametrize("source, line", [
+        ("""
             import numpy as np
             rng = np.random.default_rng(7)
-        """) == ["SIM002"]
+        """, 3),
+        ("""
+            import numpy as np
+
+            def build(seed):
+                return np.random.default_rng(seed)
+        """, 5),
+    ], ids=["literal-seed", "seed-param"])
+    def test_default_rng_literal_seed_flagged(self, source, line):
+        assert [(f.rule, f.line) for f in findings(source)] == [("SIM002", line)]
 
     def test_random_random_instance_flagged(self):
         assert rule_ids("""
@@ -101,11 +112,22 @@ class TestSIM002:
 # ---------------------------------------------------------------------------
 
 class TestSIM003:
-    def test_set_literal_loop_flagged(self):
-        assert rule_ids("""
+    @pytest.mark.parametrize("source, line", [
+        ("""
             for x in {1, 2, 3}:
                 print(x)
-        """) == ["SIM003"]
+        """, 2),
+        ("""
+            for x in {3, 1, 2}:
+                print(x)
+        """, 2),
+        ("""
+            s = {1, 2}
+            xs = [x for x in s]
+        """, 3),
+    ], ids=["literal", "unsorted-literal", "set-name-comprehension"])
+    def test_set_literal_loop_flagged(self, source, line):
+        assert [(f.rule, f.line) for f in findings(source)] == [("SIM003", line)]
 
     def test_set_call_loop_flagged(self):
         assert rule_ids("""
@@ -129,12 +151,19 @@ class TestSIM003:
                 return [v for v in set(a) & set(b)]
         """) == ["SIM003"]
 
-    def test_sorted_set_clean(self):
-        assert rule_ids("""
+    @pytest.mark.parametrize("source", [
+        """
             def f(xs):
                 for x in sorted(set(xs)):
                     yield x
-        """) == []
+        """,
+        """
+            for x in {1, 2}:  # repro: noqa SIM003 -- order-free fold
+                pass
+        """,
+    ], ids=["sorted", "noqa"])
+    def test_sorted_set_clean(self, source):
+        assert rule_ids(source) == []
 
     def test_list_iteration_clean(self):
         assert rule_ids("""

@@ -62,11 +62,39 @@ def test_tampered_event_line_diverges_with_causal_context(office_trace, tmp_path
     assert report["identical"] is False
     div = report["divergence"]
     assert div["lineno"] == idx + 1
+    assert div["kind"] == "structural"
     assert div["recorded"] == lines[idx]
     assert div["recorded"] != div["replayed"]
     assert isinstance(div["causal_context"], list)
     assert div["causal_context"], "event divergence must carry causal history"
     assert all({"gseq", "pid", "kind", "t"} <= set(e) for e in div["causal_context"])
+
+
+def test_swapped_same_time_events_are_a_tie_break(office_trace, tmp_path):
+    """Two event lines at one t swap places and their ordinal fields
+    renumber (what a run-dependent tie-break order would record): the
+    divergence is labelled a tie-break, not a structural change."""
+    lines = office_trace.read_text().splitlines()
+    rows = [json.loads(line) for line in lines]
+    idx = next(
+        i for i in range(1, len(rows) - 1)
+        if rows[i].get("gseq") is not None
+        and rows[i + 1].get("gseq") is not None
+        and rows[i].get("t") == rows[i + 1].get("t")
+    )
+    a, b = rows[idx], rows[idx + 1]
+    for key in ("gseq", "mid"):
+        if key in a and key in b:
+            a[key], b[key] = b[key], a[key]
+    lines[idx:idx + 2] = [
+        json.dumps(row, sort_keys=True, separators=(",", ":")) for row in (b, a)
+    ]
+    swapped = tmp_path / "swapped.trace"
+    swapped.write_text("\n".join(lines) + "\n")
+
+    div = ReplayEngine().verify(swapped)["divergence"]
+    assert div["lineno"] == idx + 1
+    assert div["kind"] == "tie-break"
 
 
 def test_code_digest_mismatch_is_flagged_not_fatal(office_trace, tmp_path):

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,8 @@ from repro.sim.kernel import (
     Simulator,
     SimulationError,
 )
+
+from tests.sim._twin import fired_lines, twin_divergence
 
 
 def test_empty_run_leaves_clock_at_start():
@@ -435,3 +439,72 @@ def test_firing_order_and_calendar_match_sorted_reference(ops, threshold):
         ]
     sim.run()
     assert fired == model_fired + [s for _, _, s in pending()]
+
+
+# ---------------------------------------------------------------------------
+# Twin runs: tie-break versus structural divergence
+# ---------------------------------------------------------------------------
+
+def test_fired_lines_follow_firing_order():
+    def build(sim):
+        sim.schedule_at(2.0, lambda: None, label="late")
+        sim.schedule_at(1.0, lambda: None, label="early")
+
+    rows = [json.loads(line) for line in fired_lines(build)]
+    assert [(r["t"], r["label"]) for r in rows] == [(1.0, "early"), (2.0, "late")]
+
+
+def test_identical_runs_are_clean():
+    def build(sim):
+        for k in range(5):
+            sim.schedule_at(float(k), lambda: None, label=f"ev{k}")
+
+    assert twin_divergence(build) is None
+
+
+def test_injected_tiebreak_nondeterminism_is_flagged():
+    """Events scheduled at the same timestamp in a run-dependent order
+    (the signature of iterating a hash-ordered set during setup) are a
+    tie-break divergence."""
+    run_no = [0]
+
+    def build(sim):
+        labels = ["a", "b", "c"]
+        if run_no[0] % 2:            # nondeterministic scheduling order
+            labels = labels[::-1]
+        run_no[0] += 1
+        for lab in labels:
+            sim.schedule_at(1.0, lambda: None, label=lab)
+
+    div = twin_divergence(build)
+    assert div is not None
+    assert div["kind"] == "tie-break"
+    assert div["lineno"] == 1
+    assert json.loads(div["a"])["t"] == 1.0
+
+
+def test_structural_divergence_is_not_tiebreak():
+    run_no = [0]
+
+    def build(sim):
+        t = 1.0 if run_no[0] == 0 else 2.0
+        run_no[0] += 1
+        sim.schedule_at(t, lambda: None, label="only")
+
+    div = twin_divergence(build)
+    assert div is not None and div["kind"] == "structural"
+
+
+def test_trace_length_mismatch_is_structural():
+    run_no = [0]
+
+    def build(sim):
+        sim.schedule_at(1.0, lambda: None, label="x")
+        if run_no[0]:
+            sim.schedule_at(2.0, lambda: None, label="y")
+        run_no[0] += 1
+
+    div = twin_divergence(build)
+    assert div is not None and div["kind"] == "structural"
+    assert div["lineno"] == 2 and div["a"] is None
+    assert json.loads(div["b"])["label"] == "y"

@@ -1,5 +1,5 @@
-"""Runtime determinism checks (repro.lint.runtime) over the models the
-sweep points drive, plus the sweep layer's own replay stability.
+"""Runtime determinism checks over the models the sweep points drive,
+plus the sweep layer's own replay stability.
 
 The static SIM rules pass over :mod:`repro.sweep` (see CI's lint job);
 these tests catch what only a run exposes: firing-order divergence
@@ -8,10 +8,11 @@ between identical-seed runs of the models `repro sweep` replicates.
 
 from repro.clocks.physical import DriftModel, PhysicalClock
 from repro.clocks.sync import OnDemandSyncProtocol, PeriodicSyncProtocol
-from repro.lint.runtime import check_determinism
 from repro.sim.rng import RngRegistry
 from repro.sweep import SweepRunner, SweepTask
 from repro.world.generators import PoissonProcess
+
+from tests.sim._twin import twin_divergence
 
 
 def test_periodic_sync_model_fires_deterministically():
@@ -28,7 +29,7 @@ def test_periodic_sync_model_fires_deterministically():
         )
         proto.start()
 
-    assert check_determinism(build, runs=3, until=60.0) is None
+    assert twin_divergence(build, runs=3, until=60.0) is None
 
 
 def test_on_demand_sync_model_fires_deterministically():
@@ -44,7 +45,7 @@ def test_on_demand_sync_model_fires_deterministically():
         gen = PoissonProcess(sim, 0.5, proto.sync_now, rng=rng.get("ev"))
         gen.start()
 
-    assert check_determinism(build, runs=3, until=60.0) is None
+    assert twin_divergence(build, runs=3, until=60.0) is None
 
 
 def test_detector_point_rows_are_replay_stable():

@@ -127,13 +127,13 @@ def test_lint_json_schema(tmp_path, capsys):
     path.write_text(LINT_BAD)
     assert main(["lint", str(path), "--json", "--no-cache"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    assert doc["version"] == 2
+    assert doc["version"] == 3
     assert doc["tool"] == "repro-lint"
     assert doc["files_checked"] == 1
     assert doc["clean"] is False
     assert doc["counts"] == {"SIM001": 1}
     assert doc["suppressed"] == {}
-    assert doc["baselined"] == {}
+    assert "baselined" not in doc
     assert doc["warnings"] == []
     (finding,) = doc["findings"]
     assert set(finding) == {"rule", "path", "line", "col", "message"}
