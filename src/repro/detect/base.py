@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Any, Iterable, Mapping
 
 from repro.core.records import SensedEventRecord
@@ -53,6 +54,11 @@ class Detection:
         return self.label is DetectionLabel.FIRM
 
 
+#: Length of :meth:`RecordStore.keys_tail`, the frontier snapshot's
+#: ``record_keys_tail``.
+TAIL_KEYS = 8
+
+
 class RecordStore:
     """Deduplicating accumulator of sensed records.
 
@@ -64,6 +70,9 @@ class RecordStore:
 
     def __init__(self) -> None:
         self._records: dict[tuple[int, int], SensedEventRecord] = {}
+        #: :meth:`keys_tail` as of the first ``_tail_len`` records
+        self._tail: list[tuple[int, int]] = []
+        self._tail_len = 0
         self.duplicates = 0
 
     def add(self, record: SensedEventRecord) -> bool:
@@ -78,9 +87,17 @@ class RecordStore:
     def __len__(self) -> int:
         return len(self._records)
 
-    def keys(self) -> list[tuple[int, int]]:
-        """Sorted ``(pid, seq)`` identities of the retained records."""
-        return sorted(self._records)
+    def keys_tail(self) -> list[tuple[int, int]]:
+        """The :data:`TAIL_KEYS` largest ``(pid, seq)`` identities,
+        ascending (``sorted(keys)[-TAIL_KEYS:]``).  Reads only the keys
+        added since the last call: the store never drops a record, and
+        a dict iterates in insertion order."""
+        fresh = len(self._records) - self._tail_len
+        if fresh:
+            added = islice(reversed(self._records), fresh)
+            self._tail = sorted([*self._tail, *added])[-TAIL_KEYS:]
+            self._tail_len = len(self._records)
+        return list(self._tail)
 
     def all(self) -> list[SensedEventRecord]:
         """Records sorted by (pid, seq)."""
@@ -159,7 +176,7 @@ class Detector:
         return {
             "name": self.name,
             "records": len(self.store),
-            "record_keys_tail": [list(k) for k in self.store.keys()[-8:]],
+            "record_keys_tail": [list(k) for k in self.store.keys_tail()],
             "duplicates": self.store.duplicates,
             "detections": len(self.detections),
         }

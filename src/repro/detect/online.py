@@ -188,6 +188,9 @@ class OnlineVectorStrobeDetector(_LivenessMixin, _OnlineObsMixin, VectorStrobeDe
         self._liveness_init(liveness_horizon)
         self._sim = sim
         self._stability_wait = 2.0 * float(delta)
+        #: arrival time per pending or new record; a record's entry goes
+        #: when it is released or dropped as late, since no later flush
+        #: reads it (the 2Δ stability argument)
         self._arrivals: dict[tuple[int, int], float] = {}
         # Incremental replay state.
         self._env: dict = dict(initials)
@@ -252,6 +255,7 @@ class OnlineVectorStrobeDetector(_LivenessMixin, _OnlineObsMixin, VectorStrobeDe
             for r in new:
                 if self._sort_key(r) < self._last_key:
                     late += 1
+                    del self._arrivals[r.key()]
                 else:
                     fresh.append(r)
             if late:
@@ -385,9 +389,11 @@ class OnlineVectorStrobeDetector(_LivenessMixin, _OnlineObsMixin, VectorStrobeDe
         env = self._env
         prevs = self._prevs
         state = self._state
+        arrivals = self._arrivals
         extra = {"emit_time": now}
         for k in range(stable):
             rec = suffix[k]
+            del arrivals[rec.key()]
             prev = env.get(rec.var)
             env[rec.var] = rec.value
             prevs.append(prev)
@@ -422,11 +428,23 @@ class OnlineVectorStrobeDetector(_LivenessMixin, _OnlineObsMixin, VectorStrobeDe
         """Oracle-side: emit time − true occurrence time per detection."""
         return [t - d.trigger.true_time for d, t in self.emissions]
 
+    def _linearization_tail(self) -> tuple | None:
+        """From the watermark state alone: every stored record is
+        processed, late, pending or new, and processed and late records
+        sort at or below ``_last_key``."""
+        keys = [self._sort_key(r) for r in self._new]
+        if self._pending:
+            keys.append(self._sort_key(self._pending[-1]))
+        if self._last_key is not None:
+            keys.append(self._last_key)
+        return max(keys, default=None)
+
     def frontier_snapshot(self) -> dict[str, Any]:
         """Base summary plus the watermark frontier: processed prefix
-        length, retained pending/new arrival cursors, the incremental
-        environment and race state — the full per-flush recurrence
-        state, so equal snapshots imply identical future flushes."""
+        length, pending/new cursors with their arrival times, the
+        incremental environment and race state — the full per-flush
+        recurrence state, so equal snapshots imply identical future
+        flushes.  Its size is O(pending state), not O(records fed)."""
         from repro.trace.recorder import _canon
 
         snap = super().frontier_snapshot()
@@ -481,6 +499,8 @@ class OnlineScalarStrobeDetector(_LivenessMixin, _OnlineObsMixin, Detector):
         self._liveness_init(liveness_horizon)
         self._sim = sim
         self._stability_wait = 2.0 * float(delta)
+        #: arrival time per pending or new record (evicted on release,
+        #: as in the vector detector)
         self._arrivals: dict[tuple[int, int], float] = {}
         self._env: dict = dict(initials)
         self._processed_count = 0
@@ -542,6 +562,7 @@ class OnlineScalarStrobeDetector(_LivenessMixin, _OnlineObsMixin, Detector):
                         if self._m_late is not None:
                             self._m_late.inc()
                         self._processed_count += 1
+                        del self._arrivals[rec.key()]
                     else:
                         fresh.append(rec)
                 new = fresh
@@ -551,9 +572,11 @@ class OnlineScalarStrobeDetector(_LivenessMixin, _OnlineObsMixin, Detector):
             else:
                 self._pending = new
         done = 0
+        arrivals = self._arrivals
         for rec in self._pending:
-            if now - self._arrivals[rec.key()] < self._stability_wait:
+            if now - arrivals[rec.key()] < self._stability_wait:
                 break
+            del arrivals[rec.key()]
             self._env[rec.var] = rec.value
             cur = self.predicate.evaluate_safe(self._env)
             if cur is not None:
@@ -591,7 +614,8 @@ class OnlineScalarStrobeDetector(_LivenessMixin, _OnlineObsMixin, Detector):
 
     def frontier_snapshot(self) -> dict[str, Any]:
         """Base summary plus the scalar watermark frontier (processed
-        count, pending/new cursors, rising-edge state)."""
+        count, pending/new cursors with their arrival times, rising-edge
+        state); O(pending state) in size."""
         from repro.trace.recorder import _canon
 
         snap = super().frontier_snapshot()

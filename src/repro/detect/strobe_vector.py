@@ -141,12 +141,16 @@ class VectorStrobeDetector(Detector):
         — the sort key of the last retained record, which fixes where
         the offline replay's total order currently ends."""
         snap = super().frontier_snapshot()
-        records = self.store.all()
+        tail = self._linearization_tail()
         snap["linearization_tail"] = (
-            [int(x) for x in self._sort_key(max(records, key=self._sort_key))]
-            if records else None
+            None if tail is None else [int(x) for x in tail]
         )
         return snap
+
+    def _linearization_tail(self) -> tuple | None:
+        """The largest sort key over the store, or None when empty."""
+        records = self.store.all()
+        return self._sort_key(max(records, key=self._sort_key)) if records else None
 
     # ------------------------------------------------------------------
     def _race_results(

@@ -11,22 +11,29 @@ directory and ingests sensed-event records one at a time, surviving
 * ``detections.jsonl`` — one line per emitted detection, durably
   appended at each checkpoint;
 * ``checkpoint.json`` — atomically replaced every ``checkpoint_every``
-  ingests: ``{ingested, emitted, digest}``.
+  ingests: ``{ingested, emitted, digest, finalized}``, where ``digest``
+  is the blake2b digest of the detector's ``frontier_snapshot`` (its
+  pending state, so a checkpoint costs O(pending), not O(history)).
 
 Recovery leans on determinism instead of snapshotting the detector: a
 reopened server truncates a torn WAL tail, truncates
 ``detections.jsonl`` back to the checkpointed ``emitted`` count
-(dropping lines whose checkpoint never landed), then re-feeds the
-entire WAL through a fresh detector — regenerating the dropped
-detection lines byte for byte, because the detector's output is a pure
-function of the (arrival time, record) sequence.  Records that never
-reached the WAL are simply re-ingested by the caller (``serve`` skips
-exactly ``ingested_records`` input lines on restart).
+(dropping lines whose checkpoint never landed), re-feeds the first
+``ingested`` WAL records through a fresh detector (and finalizes it
+again if the checkpoint is finalized), and refuses the directory unless
+the detector's digest equals the checkpoint's — so a serve config or
+code change under the directory is caught at the checkpoint, not only
+at the detections.  It then feeds the rest of the WAL, regenerating the
+dropped detection lines byte for byte, because the detector's output is
+a pure function of the (arrival time, record) sequence.  Records that
+never reached the WAL are simply re-ingested by the caller (``serve``
+skips exactly ``ingested_records`` input lines on restart).
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 from pathlib import Path
 from typing import Any
@@ -36,9 +43,11 @@ from repro.recover.checkpoint import snapshot_digest
 from repro.recover.stream import record_from_spec
 from repro.replay.manifest import RunManifest
 from repro.sim.kernel import Simulator
-from repro.util.atomicio import atomic_write_text, durable_append_lines, fsync_dir
+from repro.util.atomicio import atomic_write_text, durable_append_lines
 
-SERVE_FORMAT_VERSION = 1
+#: 2: checkpoint.json's digest covers the O(pending) frontier snapshot
+#: and is verified at reopen.
+SERVE_FORMAT_VERSION = 2
 
 #: Families the streaming server can host (offline families replay a
 #: complete stream at finalize and have no incremental frontier).
@@ -199,25 +208,35 @@ class WalServer:
                 os.fsync(fh.fileno())
         return specs
 
+    def _read_checkpoint(self) -> dict[str, Any]:
+        """checkpoint.json's fields (no digest before the first one)."""
+        if not self.checkpoint_path.exists():
+            return {"ingested": 0, "emitted": 0, "digest": None, "finalized": False}
+        try:
+            ckpt = json.loads(self.checkpoint_path.read_text())
+            return {
+                "ingested": operator.index(ckpt["ingested"]),
+                "emitted": operator.index(ckpt["emitted"]),
+                "digest": str(ckpt["digest"]),
+                "finalized": ckpt["finalized"] is True,
+            }
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            # checkpoint.json is atomically replaced, so corruption
+            # cannot come from a crash — refuse to guess.
+            raise WalError(
+                f"{self.checkpoint_path}: corrupt checkpoint: {exc!r}"
+            ) from exc
+
     def _recover(self) -> None:
-        ckpt = {"ingested": 0, "emitted": 0}
-        if self.checkpoint_path.exists():
-            try:
-                ckpt = json.loads(self.checkpoint_path.read_text())
-            except json.JSONDecodeError as exc:
-                # checkpoint.json is atomically replaced, so corruption
-                # cannot come from a crash — refuse to guess.
-                raise WalError(
-                    f"{self.checkpoint_path}: corrupt checkpoint: {exc}"
-                ) from exc
+        ckpt = self._read_checkpoint()
+        ingested, emitted = ckpt["ingested"], ckpt["emitted"]
         specs = self._read_wal()
-        if len(specs) < int(ckpt.get("ingested", 0)):
+        if len(specs) < ingested:
             raise WalError(
                 f"{self.wal_path}: WAL holds {len(specs)} records but the "
-                f"checkpoint claims {ckpt.get('ingested')} — the log was "
+                f"checkpoint claims {ingested} — the log was "
                 "truncated below its own checkpoint"
             )
-        emitted = int(ckpt.get("emitted", 0))
         # Drop detection lines beyond the checkpoint (a crash between
         # the detection append and the checkpoint replace): re-feeding
         # the WAL regenerates them byte for byte.
@@ -235,21 +254,38 @@ class WalServer:
                 f"{self.detections_path}: missing but checkpoint claims "
                 f"{emitted} emitted detections"
             )
-        for spec in specs:
+        for spec in specs[:ingested]:
+            self._feed(*record_from_spec(spec))
+        if ckpt["finalized"]:
+            if len(specs) > ingested:
+                raise WalError(
+                    f"{self.wal_path}: WAL holds {len(specs)} records "
+                    f"past a checkpoint finalized at {ingested}"
+                )
+            self.detector.finalize()
+            self.finalized = True
+        if ckpt["digest"] is not None and self._digest() != ckpt["digest"]:
+            raise WalError(
+                f"{self.checkpoint_path}: detector state after re-feeding "
+                f"{ingested} WAL records does not match the checkpoint "
+                "digest — serve config or code changed under the directory"
+            )
+        for spec in specs[ingested:]:
             self._feed(*record_from_spec(spec))
         self.ingested_records = len(specs)
         self._ckpt_ingested = len(specs)
-        regenerated = self._detection_lines()
-        if len(regenerated) < emitted or regenerated[:emitted] != persisted:
+        emissions = self.detector.emissions
+        if len(emissions) < emitted or [
+            _detection_line(d, t) for d, t in emissions[:emitted]
+        ] != persisted:
             raise WalError(
-                f"{self.dir}: WAL replay regenerated {len(regenerated)} "
+                f"{self.dir}: WAL replay regenerated {len(emissions)} "
                 f"detections that do not extend the {emitted} on disk — "
                 "serve config or code changed under the directory"
             )
-        regenerated = len(regenerated)
         self._emitted = emitted
         # Persist anything the crash lost, then stamp a clean checkpoint.
-        if regenerated > emitted or len(specs) != int(ckpt.get("ingested", 0)):
+        if len(emissions) > emitted or len(specs) != ingested:
             self.checkpoint()
 
     # ------------------------------------------------------------------
@@ -264,8 +300,10 @@ class WalServer:
         """Reject a record that decodes but cannot belong to the served
         system: an arrival outside ``[0, duration]`` (every served
         stream comes from running the manifest to ``duration``; NaN
-        fails the test too), or a pid, or a vector width, other than
-        its process count."""
+        fails the test too), a pid, or a vector width, other than its
+        process count, or a value the served predicate cannot evaluate
+        (tried over the initial environment with the record's variable
+        substituted)."""
         if not 0.0 <= arrival <= self.manifest.duration:
             raise ValueError(
                 f"arrival t={arrival} outside [0, {self.manifest.duration}]"
@@ -276,6 +314,14 @@ class WalServer:
         for stamp in (record.vector, record.strobe_vector):
             if stamp is not None and stamp.n != n:
                 raise ValueError(f"vector width {stamp.n}, expected {n}")
+        env = dict(self.detector.initials)
+        env[record.var] = record.value
+        try:
+            self.detector.predicate.evaluate(env)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise ValueError(
+                f"the predicate cannot evaluate {record.var}={record.value!r}: {exc}"
+            ) from exc
 
     def ingest(self, spec: dict[str, Any]) -> None:
         """WAL-first ingest of one record spec; checkpoints every
@@ -303,31 +349,31 @@ class WalServer:
     # ------------------------------------------------------------------
     # Durability
     # ------------------------------------------------------------------
-    def _detection_lines(self) -> list[str]:
-        return [
-            _detection_line(d, t) for d, t in self.detector.emissions
-        ]
+    def _digest(self) -> str:
+        return snapshot_digest({"frontier": self.detector.frontier_snapshot()})
 
     def checkpoint(self) -> dict[str, Any]:
-        """Durably append new detections and replace checkpoint.json."""
-        lines = self._detection_lines()
-        new = lines[self._emitted:]
+        """Durably append the detections emitted since the last
+        checkpoint and replace checkpoint.json."""
+        new = [
+            _detection_line(d, t)
+            for d, t in self.detector.emissions[self._emitted:]
+        ]
         if new:
             durable_append_lines(self.detections_path, new)
-            self._emitted = len(lines)
+            self._emitted += len(new)
         state = {
             "ingested": self.ingested_records,
             "emitted": self._emitted,
-            "digest": snapshot_digest(
-                {"frontier": self.detector.frontier_snapshot()}
-            ),
+            "digest": self._digest(),
             "finalized": self.finalized,
         }
+        # The replace fsyncs the directory, which also makes a newly
+        # created detections.jsonl durable.
         atomic_write_text(
             self.checkpoint_path,
             json.dumps(state, sort_keys=True) + "\n",
         )
-        fsync_dir(self.dir)
         self._ckpt_ingested = self.ingested_records
         return state
 
@@ -337,7 +383,6 @@ class WalServer:
         if not self.finalized:
             self.detector.finalize()
             self.finalized = True
-            return self.checkpoint()
         return self.checkpoint()
 
     # ------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Tests for Detector base machinery and RecordStore."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.detect.base import Detection, DetectionLabel, Detector, RecordStore
+from repro.core.records import SensedEventRecord
+from repro.detect.base import TAIL_KEYS, Detection, DetectionLabel, Detector, RecordStore
 from repro.predicates.relational import RelationalPredicate
 
 
@@ -26,6 +29,20 @@ def test_store_all_sorted_by_pid_seq(rec):
     store.add(r1)
     store.add(r0)
     assert [r.pid for r in store.all()] == [0, 1]
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 40), st.booleans()),
+                max_size=60))
+def test_store_keys_tail_is_the_sorted_tail(adds):
+    """Asked after any batch of adds, duplicates included."""
+    store = RecordStore()
+    seen = set()
+    for pid, seq, ask in adds:
+        store.add(SensedEventRecord(pid=pid, seq=seq, var="x", value=0, true_time=0.0))
+        seen.add((pid, seq))
+        if ask:
+            assert store.keys_tail() == sorted(seen)[-TAIL_KEYS:]
+    assert store.keys_tail() == sorted(seen)[-TAIL_KEYS:]
 
 
 def test_store_by_process(rec):

@@ -1,10 +1,12 @@
 """Tests for the online (watermark) vector-strobe detector."""
 
+import json
+
 import pytest
 
 from repro.analysis.metrics import BorderlinePolicy, match_detections
 from repro.core.process import ClockConfig
-from repro.detect.online import OnlineVectorStrobeDetector
+from repro.detect.online import OnlineScalarStrobeDetector, OnlineVectorStrobeDetector
 from repro.detect.strobe_vector import VectorStrobeDetector
 from repro.net.delay import DeltaBoundedDelay, SynchronousDelay
 from repro.net.loss import BernoulliLoss
@@ -207,3 +209,51 @@ def test_online_scalar_emits_during_run(rec):
     det.stop()
     assert probe == [1]
     assert len(det.detection_latencies()) == 1
+
+
+@pytest.mark.parametrize("cls", [OnlineVectorStrobeDetector, OnlineScalarStrobeDetector])
+def test_frontier_snapshot_size_is_independent_of_stream_length(rec, cls):
+    """Released records leave the snapshot: its JSON stays the size of
+    the pending state, however many records were fed.  The largest
+    snapshot over the 100 records up to 500 and up to 4000 fed differ
+    only by a few stamps' worth of digits."""
+    sim = Simulator()
+    det = cls(sim, occupancy(), {"x": 0, "y": 0}, delta=0.05)
+    det.start()
+    counts = [0, 0]
+    largest = {500: 0, 4000: 0}
+    for k in range(1, 4001):
+        pid = k % 2
+        counts[pid] += 1
+        sim.run(until=k * 0.01)
+        det.feed(rec(pid, "xy"[pid], k % 4, true_time=k * 0.01,
+                     vector=tuple(counts), scalar=k))
+        for end in largest:
+            if end - 100 < k <= end:
+                size = len(json.dumps(det.frontier_snapshot(), sort_keys=True))
+                largest[end] = max(largest[end], size)
+    assert len(det.store) == 4000
+    assert largest[4000] <= largest[500] + 256, largest
+
+
+@pytest.mark.parametrize("cls", [OnlineVectorStrobeDetector, OnlineScalarStrobeDetector])
+def test_released_and_late_records_leave_arrivals(rec, cls):
+    """Arrival times are kept for pending and new records only; the
+    snapshot's tails still describe the whole store."""
+    sim = Simulator()
+    det = cls(sim, occupancy(), {"x": 0, "y": 0}, delta=0.1, check_period=0.05)
+    det.start()
+    for k in (1, 2, 3):
+        det.feed(rec(0, "x", k, true_time=0.0, vector=(k, 0), scalar=k))
+    sim.run(until=1.0)
+    det.feed(rec(1, "y", 1, true_time=0.0, vector=(0, 1), scalar=1))  # sorts first
+    sim.run(until=1.2)
+    assert det.late_records == 1
+    det.feed(rec(0, "x", 4, true_time=1.2, vector=(4, 0), scalar=4))
+    assert list(det._arrivals) == [(0, 4)]
+    snap = det.frontier_snapshot()
+    assert snap["arrivals"] == [[0, 4, 1.2]]
+    assert snap["record_keys_tail"] == [list(k) for k in sorted(r.key() for r in det.store.all())]
+    if cls is OnlineVectorStrobeDetector:
+        whole_store = VectorStrobeDetector._linearization_tail(det)
+        assert snap["linearization_tail"] == list(whole_store) == [4, 0, 4]

@@ -68,6 +68,23 @@ def test_stream_then_serve_roundtrip(capsys, tmp_path):
     assert (served / "checkpoint.json").exists()
 
 
+def test_finalized_serve_reopens(capsys, tmp_path):
+    """A served-to-completion directory reopens finalized, also when
+    ``finalize`` itself emitted detections (the 16 s stream does)."""
+    stream = tmp_path / "hall.stream.jsonl"
+    assert main(["recover", "stream", "hall", "--duration", "16",
+                 "--out", str(stream)]) == 0
+    served = tmp_path / "served"
+    assert main(["serve", "--wal", str(served), "--scenario", "hall",
+                 "--duration", "16", "--checkpoint-every", "4",
+                 "--in", str(stream)]) == 0
+    first = capsys.readouterr().out.strip().splitlines()[-1]
+    assert main(["serve", "--wal", str(served)]) == 0
+    again = capsys.readouterr().out.strip().splitlines()[-1]
+    assert again == first
+    assert "finalized=True" in again
+
+
 def test_serve_reopen_without_config_fails(capsys, tmp_path):
     rc = main(["serve", "--wal", str(tmp_path / "missing")])
     assert rc == 2

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.recover import WalServer, export_record_stream
+from repro.cli import main
+from repro.recover import WalServer, export_record_stream, wal
 from repro.recover.stream import record_from_spec, record_to_spec, write_record_stream
 from repro.recover.wal import WalError
 from repro.replay import RunManifest, code_digest
@@ -109,24 +110,112 @@ def test_torn_wal_tail_is_truncated(tmp_path, stream):
     json.loads(lines[-1])
 
 
-def test_detections_beyond_checkpoint_are_regenerated(tmp_path, stream):
-    """Detection lines whose checkpoint never landed are truncated and
-    regenerated byte for byte from the WAL."""
+class _Crash(Exception):
+    pass
+
+
+def test_detections_beyond_checkpoint_are_regenerated(tmp_path, stream, monkeypatch):
+    """A crash between a checkpoint's detection append and its
+    checkpoint.json replace leaves detection lines the checkpoint does
+    not count: the reopen truncates them and regenerates them byte for
+    byte from the WAL."""
+    _serve_all(tmp_path / "full", stream, checkpoint_every=8)
+    expected = (tmp_path / "full" / "detections.jsonl").read_bytes()
+
     directory = tmp_path / "regen"
+    detections = directory / "detections.jsonl"
+
+    def on_disk():
+        return len(detections.read_text().splitlines()) if detections.exists() else 0
+
+    def counted():
+        ckpt = directory / "checkpoint.json"
+        return json.loads(ckpt.read_text())["emitted"] if ckpt.exists() else 0
+
+    write = wal.atomic_write_text
+
+    def crash_after_append(path, text):
+        if on_disk() > counted():
+            raise _Crash
+        return write(path, text)
+
+    server = WalServer(directory, manifest=MANIFEST, checkpoint_every=8)
+    monkeypatch.setattr(wal, "atomic_write_text", crash_after_append)
+    with pytest.raises(_Crash):
+        for spec in stream:
+            server.ingest(spec)
+    monkeypatch.undo()
+    done = server.ingested_records
+    del server
+    assert on_disk() > counted()
+
+    server = WalServer(directory)
+    assert server.ingested_records == done
+    assert on_disk() == server.status()["emitted"]
+    for spec in stream[done:]:
+        server.ingest(spec)
+    server.finalize()
+    assert detections.read_bytes() == expected
+
+
+def test_finalized_directory_reopens_finalized(tmp_path, stream):
+    directory = tmp_path / "fin"
     _serve_all(directory, stream, checkpoint_every=8)
     expected = (directory / "detections.jsonl").read_bytes()
-    # Roll the checkpoint back as if the crash happened before the last
-    # checkpoint replace, leaving extra detection lines on disk.
-    ckpt = json.loads((directory / "checkpoint.json").read_text())
-    assert ckpt["emitted"] >= 1
-    ckpt["emitted"] -= 1
-    ckpt["finalized"] = False
-    (directory / "checkpoint.json").write_text(
-        json.dumps(ckpt, sort_keys=True) + "\n"
-    )
     server = WalServer(directory)
+    status = server.status()
+    assert status["finalized"] is True
+    assert status["ingested"] == len(stream)
+    assert status["emitted"] == status["detections"] > 0
+    with pytest.raises(WalError, match="finalized"):
+        server.ingest(stream[0])
     server.finalize()
     assert (directory / "detections.jsonl").read_bytes() == expected
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda c: {**c, "digest": "0" * 32},
+    lambda c: {**c, "emitted": c["emitted"] - 1, "finalized": False},
+], ids=["digest", "finalized-flag"])
+def test_tampered_checkpoint_is_refused(tmp_path, stream, tamper):
+    """The reopen re-feeds the checkpointed WAL prefix and requires the
+    detector's frontier digest to equal the one checkpoint.json holds."""
+    directory = tmp_path / "tampered"
+    _serve_all(directory, stream, checkpoint_every=8)
+    ckpt = json.loads((directory / "checkpoint.json").read_text())
+    (directory / "checkpoint.json").write_text(
+        json.dumps(tamper(ckpt), sort_keys=True) + "\n"
+    )
+    with pytest.raises(WalError, match="checkpoint digest"):
+        WalServer(directory)
+
+
+def test_older_serve_format_is_refused(tmp_path, stream, capsys):
+    directory = tmp_path / "v1"
+    _serve_all(directory, stream[:8], checkpoint_every=4)
+    cfg = json.loads((directory / "serve.json").read_text())
+    assert cfg["format_version"] == wal.SERVE_FORMAT_VERSION == 2
+    cfg["format_version"] = 1
+    (directory / "serve.json").write_text(json.dumps(cfg, sort_keys=True) + "\n")
+    with pytest.raises(WalError, match="unsupported serve format 1"):
+        WalServer(directory)
+    assert main(["serve", "--wal", str(directory)]) == 2
+    err = capsys.readouterr().err
+    assert "unsupported serve format 1" in err and err.count("\n") == 1
+
+
+def test_checkpoints_render_each_detection_once(tmp_path, stream, monkeypatch):
+    rendered = []
+    line = wal._detection_line
+
+    def counting(detection, emit_time):
+        rendered.append(detection.trigger.key())
+        return line(detection, emit_time)
+
+    monkeypatch.setattr(wal, "_detection_line", counting)
+    server = _serve_all(tmp_path / "once", stream, checkpoint_every=2)
+    keys = [d.trigger.key() for d, _ in server.detector.emissions]
+    assert keys and rendered == keys
 
 
 def test_wal_below_checkpoint_is_refused(tmp_path, stream):
@@ -141,6 +230,20 @@ def test_corrupt_checkpoint_is_refused(tmp_path, stream):
     directory = tmp_path / "corrupt"
     _serve_all(directory, stream, checkpoint_every=4)
     (directory / "checkpoint.json").write_text("{ nope")
+    with pytest.raises(WalError, match="corrupt checkpoint"):
+        WalServer(directory)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda c: {k: v for k, v in c.items() if k != "digest"},
+    lambda c: {**c, "ingested": "48"},
+    lambda c: [c],
+], ids=["no-digest", "str-ingested", "not-an-object"])
+def test_malformed_checkpoint_is_refused(tmp_path, stream, edit):
+    directory = tmp_path / "malformed"
+    _serve_all(directory, stream, checkpoint_every=4)
+    ckpt = json.loads((directory / "checkpoint.json").read_text())
+    (directory / "checkpoint.json").write_text(json.dumps(edit(ckpt)) + "\n")
     with pytest.raises(WalError, match="corrupt checkpoint"):
         WalServer(directory)
 
@@ -185,8 +288,14 @@ def test_ingest_after_finalize_is_refused(tmp_path, stream):
     lambda s: {**s, "t": -1.0},
     lambda s: {**s, "pid": 1.5},
     lambda s: {**s, "seq": 1.9},
+    lambda s: {**s, "value": "abc"},
+    lambda s: {**s, "value": [1, 2]},
+    lambda s: {**s, "value": {"a": 1}},
+    lambda s: {**s, "value": None},
+    lambda s: {**s, "value": 10 ** 400},
 ], ids=["negative", "float", "none", "str", "missing", "width", "pid",
-        "t-inf", "t-huge", "t-nan", "t-negative", "pid-float", "seq-float"])
+        "t-inf", "t-huge", "t-nan", "t-negative", "pid-float", "seq-float",
+        "value-str", "value-list", "value-dict", "value-none", "value-huge-int"])
 def test_malformed_record_leaves_wal_untouched(tmp_path, stream, corrupt):
     """A spec that does not decode raises WalError before the durable
     append: the WAL keeps only good records, the directory reopens, and

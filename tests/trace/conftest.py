@@ -14,8 +14,13 @@ DURATION = 60.0
 HOST = 0
 
 
-def record_hall(seed=0, *, capacity=65536, duration=DURATION, recorder=True):
+def record_hall(seed=0, *, capacity=65536, duration=DURATION, recorder=True,
+                arrivals=None):
     """Run the hall scenario online-detected; optionally flight-recorded.
+
+    A dict passed as ``arrivals`` is filled with each record key's first
+    delivery time at the detector host — the arrival the detector's
+    ``feed`` stamps for it.
 
     Returns (scenario, detector, recorder-or-None).
     """
@@ -31,6 +36,12 @@ def record_hall(seed=0, *, capacity=65536, duration=DURATION, recorder=True):
     det = OnlineVectorStrobeDetector(
         system.sim, hall.predicate, hall.initials, delta=DELTA,
     )
+    if arrivals is not None:
+        def tap(record):
+            arrivals.setdefault(record.key(), system.sim.now)
+
+        system.processes[HOST].add_record_listener(tap)
+        system.processes[HOST].add_strobe_listener(tap)
     hall.attach_detector(det, host=HOST)
     det.start()
     hall.run(duration)
@@ -44,5 +55,11 @@ def record_hall(seed=0, *, capacity=65536, duration=DURATION, recorder=True):
 
 
 @pytest.fixture(scope="session")
-def hall_run():
-    return record_hall(seed=0)
+def hall_arrivals():
+    """Record key -> arrival time at the detector host in ``hall_run``."""
+    return {}
+
+
+@pytest.fixture(scope="session")
+def hall_run(hall_arrivals):
+    return record_hall(seed=0, arrivals=hall_arrivals)

@@ -117,10 +117,10 @@ def test_attribute_latency_local_detection(chain):
 # detector consumed (hall fixture).
 # ---------------------------------------------------------------------------
 
-def test_firm_detection_causal_path_matches_consumed_chain(hall_run):
+def test_firm_detection_causal_path_matches_consumed_chain(hall_run, hall_arrivals):
     from tests.trace.conftest import HOST
 
-    _, det, rec = hall_run
+    _, _, rec = hall_run
     graph = CausalGraph(rec.events())
     firm_remote = [
         d for d in rec.detections
@@ -142,8 +142,9 @@ def test_firm_detection_causal_path_matches_consumed_chain(hall_run):
             assert send.digest == sense.digest == recv.digest
         assert path[-1].pid == HOST
         # The chain ends at the exact delivery the detector consumed:
-        # its arrival time is what feed() stamped for this record.
-        assert path[-1].t == pytest.approx(det._arrivals[key])
+        # its arrival time is the record's first delivery at the host,
+        # which is what feed() stamped for it.
+        assert path[-1].t == pytest.approx(hall_arrivals[key])
 
 
 def test_attribution_consistent_with_emission_times(hall_run):
