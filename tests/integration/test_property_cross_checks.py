@@ -177,38 +177,43 @@ def test_feed_order_does_not_matter(script, shuffle_seed):
 @settings(max_examples=15, deadline=None)
 @given(scripts, st.floats(min_value=0.01, max_value=1.0), st.integers(0, 500))
 def test_online_equals_offline_under_random_delays(script, delta, seed):
-    """Property: for ANY script and ANY Δ-bounded delay, the online
-    watermark detector's final output equals the offline replay
-    (no loss; the 2Δ stability argument)."""
-    from repro.detect.online import OnlineVectorStrobeDetector
+    """Property: for ANY script and ANY Δ-bounded delay, each online
+    watermark detector's final output equals its offline replay (no
+    loss; the 2Δ stability argument) — the vector pair and the scalar
+    pair, each on its own run."""
+    from repro.detect.online import OnlineScalarStrobeDetector, OnlineVectorStrobeDetector
     from repro.net.delay import DeltaBoundedDelay
 
-    system = PervasiveSystem(SystemConfig(
-        n_processes=2, seed=seed, delay=DeltaBoundedDelay(delta),
-        clocks=ClockConfig(strobe_vector=True),
-    ))
-    store_targets = []
-    for i in range(2):
-        system.world.create(f"obj{i}", v=0)
-        system.processes[i].track(f"v{i}", f"obj{i}", "v", initial=0)
-    phi = occupancy()
-    initials = {"v0": 0, "v1": 0}
-    online = OnlineVectorStrobeDetector(
-        system.sim, phi, initials, delta=delta, check_period=delta / 2,
+    pairs = (
+        (OnlineVectorStrobeDetector, VectorStrobeDetector, ClockConfig(strobe_vector=True)),
+        (OnlineScalarStrobeDetector, ScalarStrobeDetector, ClockConfig(strobe_scalar=True)),
     )
-    offline = VectorStrobeDetector(phi, initials)
-    online.attach(system.processes[0])
-    offline.attach(system.processes[0])
-    online.start()
-    t = 1.0
-    for pid, value in script:
-        system.sim.schedule_at(
-            t, lambda p=pid, v=value: system.world.set_attribute(f"obj{p}", "v", v)
+    for online_cls, offline_cls, clocks in pairs:
+        system = PervasiveSystem(SystemConfig(
+            n_processes=2, seed=seed, delay=DeltaBoundedDelay(delta), clocks=clocks,
+        ))
+        for i in range(2):
+            system.world.create(f"obj{i}", v=0)
+            system.processes[i].track(f"v{i}", f"obj{i}", "v", initial=0)
+        phi = occupancy()
+        initials = {"v0": 0, "v1": 0}
+        online = online_cls(
+            system.sim, phi, initials, delta=delta, check_period=delta / 2,
         )
-        t += 1.0
-    system.run(until=t + 3 * delta + 1.0)
-    on_out = online.finalize()
-    off_out = offline.finalize()
-    assert [d.trigger.key() for d in on_out] == [d.trigger.key() for d in off_out]
-    assert [d.label for d in on_out] == [d.label for d in off_out]
-    assert online.late_records == 0
+        offline = offline_cls(phi, initials)
+        online.attach(system.processes[0])
+        offline.attach(system.processes[0])
+        online.start()
+        t = 1.0
+        for pid, value in script:
+            system.sim.schedule_at(
+                t, lambda p=pid, v=value: system.world.set_attribute(f"obj{p}", "v", v)
+            )
+            t += 1.0
+        system.run(until=t + 3 * delta + 1.0)
+        on_out = online.finalize()
+        off_out = offline.finalize()
+        assert [d.trigger.key() for d in on_out] == \
+               [d.trigger.key() for d in off_out], online_cls.__name__
+        assert [d.label for d in on_out] == [d.label for d in off_out]
+        assert online.late_records == 0
