@@ -122,13 +122,11 @@ def test_emit_phase_breakdown_json(save_bench_json):
     ``BENCH_detector_phases.json``: where a vector-strobe finalize
     spends its time (``compare`` = linearization + chain-range race
     kernel vs ``race_eval`` = linearized replay + race analysis), how
-    the online detector's incremental ``flush`` amortizes the same work
-    (its m=20000 row gated against m=1000 in
-    ``check_regression.GAP_RULES``), and the incremental vs rebuild
-    cost of the windowed lattice front.
+    and how the online detector's incremental ``flush`` amortizes the
+    same work (its m=20000 row gated against m=1000 in
+    ``check_regression.GAP_RULES``).
     """
     from repro.clocks.vector import chain_concurrency_csr
-    from repro.detect.lattice_detector import LatticeDetector
     from repro.detect.online import OnlineVectorStrobeDetector
     from repro.obs import SpanTracer
     from repro.sim.kernel import Simulator
@@ -189,21 +187,6 @@ def test_emit_phase_breakdown_json(save_bench_json):
         detections = det.finalize()
         row("online_vector_strobe", m, "flush", det.flush_s,
             detections=len(detections))
-
-    # Lattice front: re-query after every window of records, with the
-    # successor graph kept alive (incremental) vs rebuilt per window.
-    lattice_records = synth_records(60, seed=0, race_frac=0.3)
-    windows = [lattice_records[k:k + 10] for k in range(0, 60, 10)]
-    for mode, incremental in (("incremental", True), ("rebuild", False)):
-        det = LatticeDetector(phi, initials, n=4, incremental=incremental)
-        with tracer.span(f"lattice_{mode}") as span:
-            answers = []
-            for window in windows:
-                for r in window:
-                    det.feed(r)
-                answers.append(det.modalities())
-        row("lattice", 60, f"lattice_{mode}", span.wall_s,
-            queries=len(answers))
 
     save_bench_json(
         "detector_phases", rows,

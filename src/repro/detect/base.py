@@ -181,23 +181,33 @@ class Detector:
             "detections": len(self.detections),
         }
 
-    # -- shared replay helper ---------------------------------------------
-    def _replay(
-        self, ordered: list[SensedEventRecord]
-    ) -> list[tuple[SensedEventRecord, dict, Any]]:
-        """Apply records in the given total order.
-
-        Returns per-record tuples ``(record, env_after_copy,
-        previous_value_of_var)`` — the previous value is what race
-        analysis needs to construct alternative states.
-        """
-        env = dict(self.initials)
-        out = []
+    # -- shared rising-edge step -----------------------------------------
+    def _rising_edges(
+        self,
+        ordered: Iterable[SensedEventRecord],
+        env: dict,
+        prev: bool,
+        detail: dict | None = None,
+    ) -> tuple[list[Detection], bool]:
+        """Apply ``ordered`` records to ``env`` in turn and return a FIRM
+        detection at every record where φ turns true, and φ after the
+        last record.  ``prev`` is φ before the first; a record where φ
+        is undefined leaves it as it was.  ``env`` is copied only into a
+        detection, and so is ``detail``."""
+        found = []
+        evaluate = self.predicate.evaluate_safe
         for rec in ordered:
-            prev = env.get(rec.var)
             env[rec.var] = rec.value
-            out.append((rec, dict(env), prev))
-        return out
+            cur = evaluate(env)
+            if cur is None:
+                continue
+            if cur and not prev:
+                found.append(Detection(
+                    self.name, rec, dict(env), DetectionLabel.FIRM,
+                    detail=None if detail is None else dict(detail),
+                ))
+            prev = bool(cur)
+        return found, prev
 
 
 __all__ = ["Detector", "Detection", "DetectionLabel", "RecordStore"]

@@ -35,14 +35,6 @@ class LatticeDetector(Detector):
         build the lattice from.
     max_states:
         Lattice enumeration cap (raises LatticeExplosion beyond).
-    incremental:
-        Keep the lattice (successor graph, interned cuts) alive across
-        :meth:`modalities` calls, extending it with per-process record
-        suffixes instead of rebuilding — the windowed/streaming usage
-        pattern.  When new records do not extend the previously seen
-        per-process prefixes (a straggler sorted into the middle), the
-        lattice is rebuilt from scratch transparently, so results are
-        always identical to non-incremental mode.
     """
 
     name = "lattice"
@@ -55,7 +47,6 @@ class LatticeDetector(Detector):
         *,
         stamp: str = "strobe_vector",
         max_states: int = 500_000,
-        incremental: bool = True,
     ) -> None:
         if stamp not in ("vector", "strobe_vector"):
             raise ValueError(f"unknown stamp source {stamp!r}")
@@ -63,22 +54,16 @@ class LatticeDetector(Detector):
         self._n = int(n)
         self._stamp = stamp
         self._max_states = int(max_states)
-        self._incremental = bool(incremental)
-        self._lattice: StateLattice | None = None
-        self._seen_seqs: list[list[int]] = []
         self.last_stats = None
         # Observability handles (None = no-op fast path).
         self._m_queries = None
         self._m_cuts = None
         self._m_states = None
         self._m_width = None
-        self._m_extends = None
-        self._m_rebuilds = None
 
     def bind_observer(self, obs) -> None:
         """Attach lattice metrics: modal queries run, cuts enumerated,
-        the size/width of the most recent lattice, and how often the
-        incremental front was extended vs rebuilt."""
+        and the size/width of the most recent lattice."""
         registry = obs.registry
         if registry is None:
             return
@@ -86,8 +71,6 @@ class LatticeDetector(Detector):
         self._m_cuts = registry.counter("detect.lattice.cuts_evaluated")
         self._m_states = registry.gauge("detect.lattice.states")
         self._m_width = registry.gauge("detect.lattice.max_width")
-        self._m_extends = registry.counter("detect.lattice.extends")
-        self._m_rebuilds = registry.counter("detect.lattice.rebuilds")
 
     def _stamps_of(self, recs) -> list:
         out = []
@@ -98,45 +81,11 @@ class LatticeDetector(Detector):
             out.append(stamp)
         return out
 
-    def _prepare_lattice(
-        self, per_proc: list, timestamps: list
-    ) -> StateLattice:
-        """Return the lattice for the current store contents, extending
-        the live one when records only appended (incremental mode)."""
-        seqs = [[r.seq for r in recs] for recs in per_proc]
-        lattice = self._lattice
-        if (
-            lattice is not None
-            and all(
-                seqs[i][: len(seen)] == seen
-                for i, seen in enumerate(self._seen_seqs)
-            )
-        ):
-            lattice.extend(
-                [
-                    timestamps[i][len(self._seen_seqs[i]):]
-                    for i in range(self._n)
-                ]
-            )
-            if self._m_extends is not None:
-                self._m_extends.inc()
-        else:
-            lattice = StateLattice(timestamps, max_states=self._max_states)
-            if self._m_rebuilds is not None:
-                self._m_rebuilds.inc()
-        if self._incremental:
-            self._lattice = lattice
-            self._seen_seqs = seqs
-        else:
-            self._lattice = None
-            self._seen_seqs = []
-        return lattice
-
     def modalities(self) -> tuple[bool, bool]:
         """Returns (possibly, definitely) for φ over the record stream."""
         per_proc = self.store.by_process(self._n)
         timestamps = [self._stamps_of(recs) for recs in per_proc]
-        lattice = self._prepare_lattice(per_proc, timestamps)
+        lattice = StateLattice(timestamps, max_states=self._max_states)
 
         def state_of(cut: Cut) -> dict:
             env = dict(self.initials)

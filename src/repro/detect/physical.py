@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from repro.detect.base import Detection, DetectionLabel, Detector
+from repro.detect.base import Detection, Detector
 from repro.predicates.base import Predicate
 
 
@@ -40,17 +40,7 @@ class PhysicalClockDetector(Detector):
             )
         # Total order: reported wall time, pid/seq tiebreak.
         ordered = sorted(records, key=lambda r: (r.physical, r.pid, r.seq))
-        self.detections = []
-        prev = False
-        for rec, env, _ in self._replay(ordered):
-            cur = self.predicate.evaluate_safe(env)
-            if cur is None:
-                continue
-            if cur and not prev:
-                self.detections.append(
-                    Detection(self.name, rec, env, DetectionLabel.FIRM)
-                )
-            prev = bool(cur)
+        self.detections, _ = self._rising_edges(ordered, dict(self.initials), False)
         return self.detections
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from repro.detect.base import Detection, DetectionLabel, Detector
+from repro.core.records import SensedEventRecord
+from repro.detect.base import Detection, Detector
 from repro.predicates.base import Predicate
 
 
@@ -29,13 +30,16 @@ class ScalarStrobeDetector(Detector):
     def __init__(self, predicate: Predicate, initials: Mapping[str, Any]) -> None:
         super().__init__(predicate, initials)
 
+    @staticmethod
+    def _sort_key(r: SensedEventRecord):
+        return (r.strobe_scalar.value, r.pid, r.seq)
+
     def frontier_snapshot(self) -> dict[str, Any]:
         """Base summary plus the (value, pid, seq) linearization tail."""
         snap = super().frontier_snapshot()
         records = [r for r in self.store.all() if r.strobe_scalar is not None]
         snap["linearization_tail"] = (
-            list(max((r.strobe_scalar.value, r.pid, r.seq) for r in records))
-            if records else None
+            list(max(map(self._sort_key, records))) if records else None
         )
         return snap
 
@@ -47,20 +51,8 @@ class ScalarStrobeDetector(Detector):
                 f"{len(missing)} records lack strobe_scalar stamps; configure "
                 "ClockConfig(strobe_scalar=True)"
             )
-        ordered = sorted(
-            records, key=lambda r: (r.strobe_scalar.value, r.pid, r.seq)
-        )
-        self.detections = []
-        prev = False
-        for rec, env, _ in self._replay(ordered):
-            cur = self.predicate.evaluate_safe(env)
-            if cur is None:
-                continue
-            if cur and not prev:
-                self.detections.append(
-                    Detection(self.name, rec, env, DetectionLabel.FIRM)
-                )
-            prev = bool(cur)
+        ordered = sorted(records, key=self._sort_key)
+        self.detections, _ = self._rising_edges(ordered, dict(self.initials), False)
         return self.detections
 
 

@@ -96,49 +96,6 @@ class StateLattice:
     def n(self) -> int:
         return self._n
 
-    def n_events(self) -> list[int]:
-        """Per-process event counts currently in the lattice."""
-        return list(self._n_events)
-
-    def extend(self, new_timestamps: Sequence[Sequence[VectorTimestamp]]) -> None:
-        """Append new per-process events, keeping the memoized
-        successor graph alive.
-
-        Timestamps already in the lattice are immutable, so the
-        consistency of an existing cut — and the successor set of any
-        *interior* cut — cannot change when events are appended.  The
-        only memo entries that go stale are those of **boundary cuts**:
-        cuts sitting at the old per-process event count in a direction
-        that grew (they previously had no candidate successor there).
-        Those entries are dropped; everything else (successor tuples,
-        interned cuts) is reused by the next :meth:`enumerate_levels` /
-        :meth:`evaluate`, which is what makes windowed re-evaluation
-        incremental instead of O(states) graph rebuilding per window.
-        """
-        if len(new_timestamps) != self._n:
-            raise ValueError(
-                f"expected {self._n} per-process sequences, got {len(new_timestamps)}"
-            )
-        old_counts = tuple(self._n_events)
-        grown = []
-        for i, per_proc in enumerate(new_timestamps):
-            added = list(per_proc)
-            if not added:
-                continue
-            self._ts[i].extend(added)
-            self._ts_tup[i].extend(t.as_tuple() for t in added)
-            self._n_events[i] += len(added)
-            grown.append(i)
-        if not grown:
-            return
-        stale = [
-            cut for cut in self._succ
-            if any(cut.counts[i] == old_counts[i] for i in grown)
-        ]
-        for cut in stale:
-            del self._succ[cut]
-        self._levels = None
-
     def _consistent_counts(self, counts: tuple[int, ...]) -> bool:
         """``is_consistent`` over pre-extracted timestamp tuples, for
         counts already known to be in range (successor generation)."""

@@ -303,7 +303,9 @@ class WalServer:
         fails the test too), a pid, or a vector width, other than its
         process count, or a value the served predicate cannot evaluate
         (tried over the initial environment with the record's variable
-        substituted)."""
+        substituted), or a record without the served family's strobe
+        stamp."""
+        self.detector.check_stamp(record)
         if not 0.0 <= arrival <= self.manifest.duration:
             raise ValueError(
                 f"arrival t={arrival} outside [0, {self.manifest.duration}]"

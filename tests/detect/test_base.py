@@ -71,16 +71,30 @@ def test_feed_many(rec):
     assert len(d.store) == 2
 
 
-def test_replay_tracks_previous_values(rec):
+def test_rising_edges_emit_where_phi_turns_true(rec):
+    """One detection per rising edge of φ, carrying a copy of the
+    environment at its trigger; ``env`` is updated in place and φ after
+    the last record is returned."""
     class D(Detector):
+        name = "d"
+
         def finalize(self):
             return []
     d = D(phi(), {"x": 0, "y": 0})
-    r1 = rec(0, "x", 3, true_time=0.0)
-    r2 = rec(0, "x", 7, true_time=1.0)
-    out = d._replay([r1, r2])
-    assert out[0][1]["x"] == 3 and out[0][2] == 0
-    assert out[1][1]["x"] == 7 and out[1][2] == 3
+    r1 = rec(0, "x", 6, true_time=0.0)      # φ rises
+    r2 = rec(0, "x", 7, true_time=1.0)      # φ stays true
+    r3 = rec(0, "x", 0, true_time=2.0)      # φ falls
+    r4 = rec(1, "y", 9, true_time=3.0)      # φ rises again
+    env = {"x": 0, "y": 0}
+    found, prev = d._rising_edges([r1, r2, r3, r4], env, False, {"k": 1})
+    assert [x.trigger for x in found] == [r1, r4]
+    assert [x.env for x in found] == [{"x": 6, "y": 0}, {"x": 0, "y": 9}]
+    assert all(x.label is DetectionLabel.FIRM and x.detail == {"k": 1} for x in found)
+    assert found[0].detail is not found[1].detail
+    assert prev is True and env == {"x": 0, "y": 9}
+    # Already true before the first record: no edge.
+    found, prev = d._rising_edges([r2], {"x": 0, "y": 0}, True)
+    assert found == [] and prev is True
 
 
 def test_detection_firm_property(rec):

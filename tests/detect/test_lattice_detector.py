@@ -78,87 +78,3 @@ def test_max_states_guard(rec):
         d.feed(rec(1, "y", k + 1, true_time=float(k) + 0.5, vector=(0, k + 1)))
     with pytest.raises(LatticeExplosion):
         d.modalities()
-
-
-# ---------------------------------------------------------------------------
-# Incremental mode
-# ---------------------------------------------------------------------------
-
-def _feed_batch(d, rec, batch):
-    for pid, var, value, t, vec in batch:
-        d.feed(rec(pid, var, value, true_time=t, vector=vec))
-
-
-BATCH_1 = [
-    (0, "x", 1, 1.0, (1, 0)),
-    (1, "y", 1, 1.5, (0, 1)),
-]
-BATCH_2 = [
-    (0, "x", 0, 2.0, (2, 0)),
-    (1, "y", 0, 2.5, (0, 2)),
-]
-
-
-def test_incremental_extends_lattice_across_calls(rec):
-    d = LatticeDetector(phi(), {"x": 0, "y": 0}, n=2, stamp="vector")
-    _feed_batch(d, rec, BATCH_1)
-    # Both rises only: every path ends in the all-ones final cut.
-    assert d.modalities() == (True, True)
-    lattice_obj = d._lattice
-    assert lattice_obj is not None
-    _feed_batch(d, rec, BATCH_2)
-    assert d.modalities() == (True, False)
-    assert d._lattice is lattice_obj     # extended, not rebuilt
-    assert d.last_stats.n_states == 9
-
-    fresh = LatticeDetector(
-        phi(), {"x": 0, "y": 0}, n=2, stamp="vector", incremental=False
-    )
-    _feed_batch(fresh, rec, BATCH_1)
-    _feed_batch(fresh, rec, BATCH_2)
-    assert fresh.modalities() == (True, False)
-    assert fresh._lattice is None        # nothing kept alive
-    assert fresh.last_stats == d.last_stats
-
-
-def test_incremental_matches_fresh_per_window(rec):
-    """Answers after every window match a detector built from scratch
-    on the same prefix."""
-    inc = LatticeDetector(phi(), {"x": 0, "y": 0}, n=2, stamp="vector")
-    records = []
-    for batch in (BATCH_1, BATCH_2):
-        _feed_batch(inc, rec, batch)
-        records.extend(batch)
-        got = inc.modalities()
-
-        fresh = LatticeDetector(
-            phi(), {"x": 0, "y": 0}, n=2, stamp="vector", incremental=False
-        )
-        for r in inc.store.all():
-            fresh.feed(r)
-        assert got == fresh.modalities()
-        assert inc.last_stats == fresh.last_stats
-
-
-def test_incremental_straggler_triggers_rebuild(rec):
-    """A record sorting before the seen per-process prefix invalidates
-    the incremental front; the detector rebuilds and stays exact."""
-    from repro.clocks.vector import VectorTimestamp
-    from repro.core.records import SensedEventRecord
-
-    def sv(pid, seq, var, value, vec, t):
-        return SensedEventRecord(
-            pid=pid, seq=seq, var=var, value=value,
-            vector=VectorTimestamp(vec), true_time=t,
-        )
-
-    d = LatticeDetector(phi(), {"x": 0, "y": 0}, n=2, stamp="vector")
-    d.feed(sv(0, 2, "x", 0, (2, 0), 2.0))
-    d.feed(sv(1, 1, "y", 1, (0, 1), 1.5))
-    assert d.modalities() == (False, False)
-    lattice_obj = d._lattice
-    # Straggler: pid 0's first event arrives late.
-    d.feed(sv(0, 1, "x", 1, (1, 0), 1.0))
-    possibly, definitely = d.modalities()
-    assert d._lattice is not lattice_obj     # rebuilt
-    assert possibly and not definitely

@@ -10,6 +10,7 @@ from repro.detect.online import OnlineScalarStrobeDetector, OnlineVectorStrobeDe
 from repro.detect.strobe_vector import VectorStrobeDetector
 from repro.net.delay import DeltaBoundedDelay, SynchronousDelay
 from repro.net.loss import BernoulliLoss
+from repro.obs import MetricsRegistry, Observability
 from repro.predicates.relational import SumThresholdPredicate
 from repro.scenarios.exhibition_hall import ExhibitionHall, ExhibitionHallConfig
 from repro.sim.kernel import Simulator
@@ -257,3 +258,28 @@ def test_released_and_late_records_leave_arrivals(rec, cls):
     if cls is OnlineVectorStrobeDetector:
         whole_store = VectorStrobeDetector._linearization_tail(det)
         assert snap["linearization_tail"] == list(whole_store) == [4, 0, 4]
+
+
+@pytest.mark.parametrize("cls", [OnlineVectorStrobeDetector, OnlineScalarStrobeDetector])
+def test_backlog_excludes_released_and_late_records(rec, cls):
+    """``detect.backlog`` counts stored records neither released nor
+    dropped as late: one late record, then finalize, leaves it at 0."""
+    sim = Simulator()
+    det = cls(sim, occupancy(), {"x": 0, "y": 0}, delta=0.1, check_period=0.05)
+    registry = MetricsRegistry()
+    det.bind_observer(Observability(registry=registry))
+    det.start()
+    for k in (1, 2, 3):
+        det.feed(rec(0, "x", k, true_time=0.0, vector=(k, 0), scalar=k))
+    sim.run(until=1.0)
+    det.feed(rec(1, "y", 1, true_time=0.0, vector=(0, 1), scalar=1))  # sorts first
+    sim.run(until=1.2)
+    assert det.late_records == 1
+    assert registry.gauge("detect.backlog").value == 0
+    det.feed(rec(0, "x", 4, true_time=1.2, vector=(4, 0), scalar=4))
+    det.flush()
+    assert registry.gauge("detect.backlog").value == 1
+    det.finalize()
+    assert registry.gauge("detect.backlog").value == 0
+    assert registry.counter("detect.processed").value == 4
+    assert registry.counter("detect.late_records").value == 1

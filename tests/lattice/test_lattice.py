@@ -157,98 +157,3 @@ def test_grid_lattice_size_formula(n, k):
     """Property: independent executions give ((k+1)^n) states."""
     lat = StateLattice(independent_execution(n, k))
     assert lat.stats().n_states == (k + 1) ** n
-
-
-# ---------------------------------------------------------------------------
-# Incremental extension (StateLattice.extend)
-# ---------------------------------------------------------------------------
-
-def random_execution(draw_events, n):
-    """Build per-process vector timestamps from an event script: each
-    entry is (pid, deliver_to) with deliver_to a subset of other pids
-    that receive the event's stamp as a message (forcing causality)."""
-    clocks = [VectorClock(i, n) for i in range(n)]
-    ts = [[] for _ in range(n)]
-    for pid, deliver in draw_events:
-        stamp = clocks[pid].on_send()
-        ts[pid].append(stamp)
-        for j in deliver:
-            if j != pid:
-                clocks[j].on_receive(stamp)
-    return ts
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_extend_matches_fresh_lattice(data):
-    """Extending a memoized lattice gives exactly the cuts, stats and
-    modal answers of a lattice built fresh on the full execution."""
-    n = data.draw(st.integers(2, 3), label="n")
-    events = data.draw(
-        st.lists(
-            st.tuples(
-                st.integers(0, n - 1),
-                st.sets(st.integers(0, n - 1), max_size=n),
-            ),
-            min_size=1,
-            max_size=8,
-        ),
-        label="events",
-    )
-    ts = random_execution(events, n)
-    split = [data.draw(st.integers(0, len(per)), label="split") for per in ts]
-
-    lat = StateLattice([per[:s] for per, s in zip(ts, split)])
-    lat.enumerate_levels()               # force memoization of the prefix
-    lat.evaluate(lambda c: dict(enumerate(c.counts)), lambda s: False)
-    lat.extend([per[s:] for per, s in zip(ts, split)])
-
-    fresh = StateLattice(ts)
-    assert [
-        [c.counts for c in lv] for lv in lat.enumerate_levels()
-    ] == [[c.counts for c in lv] for lv in fresh.enumerate_levels()]
-    assert lat.stats() == fresh.stats()
-
-    state_of = lambda cut: {f"c{i}": cut[i] for i in range(n)}
-    target = tuple(len(per) for per in ts)
-    pred = lambda s: sum(s.values()) * 2 >= sum(target)
-    assert lat.evaluate(state_of, pred) == fresh.evaluate(state_of, pred)
-
-
-def test_extend_one_event_at_a_time_matches_fresh():
-    """Repeated single-event extension (the streaming pattern) keeps
-    the successor graph consistent round after round."""
-    n = 2
-    ts = independent_execution(n, 3)
-    lat = StateLattice([[], []])
-    for k in range(3):
-        for i in range(n):
-            new = [[], []]
-            new[i] = [ts[i][k]]
-            lat.extend(new)
-            lat.enumerate_levels()       # memoize between extensions
-    fresh = StateLattice(ts)
-    assert lat.stats() == fresh.stats()
-    assert [
-        [c.counts for c in lv] for lv in lat.enumerate_levels()
-    ] == [[c.counts for c in lv] for lv in fresh.enumerate_levels()]
-
-
-def test_extend_noop_keeps_cached_levels():
-    lat = StateLattice(independent_execution(2, 2))
-    levels = lat.enumerate_levels()
-    lat.extend([[], []])
-    assert lat.enumerate_levels() is levels
-
-
-def test_extend_wrong_process_count_rejected():
-    lat = StateLattice(independent_execution(2, 1))
-    with pytest.raises(ValueError):
-        lat.extend([[]])
-
-
-def test_extend_reports_event_counts():
-    lat = StateLattice(independent_execution(2, 1))
-    assert lat.n_events() == [1, 1]
-    lat.extend([independent_execution(2, 1)[0], []])
-    assert lat.n_events() == [2, 1]

@@ -320,3 +320,40 @@ def test_malformed_record_leaves_wal_untouched(tmp_path, stream, corrupt):
         server.ingest(spec)
     server.finalize()
     assert (directory / "detections.jsonl").read_bytes() == expected
+
+
+@pytest.mark.parametrize("family,stamp", [
+    ("vector_strobe", "strobe_vector"), ("scalar_strobe", "strobe_scalar"),
+])
+def test_record_without_family_stamp_is_refused(tmp_path, family, stamp):
+    """A record that lacks the served family's strobe stamp raises
+    WalError before the durable append, so the WAL keeps only good
+    records and the directory reopens and finishes like an
+    uninterrupted serve."""
+    manifest = RunManifest(
+        scenario="hall", seed=0, duration=12.0, delta=0.2,
+        clock_family=family, code_digest=code_digest(),
+    )
+    specs = export_record_stream(manifest)
+    full = WalServer(tmp_path / "full", manifest=manifest, checkpoint_every=8)
+    for spec in specs:
+        full.ingest(spec)
+    full.finalize()
+    expected = (tmp_path / "full" / "detections.jsonl").read_bytes()
+
+    directory = tmp_path / "bad"
+    server = WalServer(directory, manifest=manifest, checkpoint_every=8)
+    for spec in specs[:6]:
+        server.ingest(spec)
+    wal = (directory / "wal.jsonl").read_bytes()
+    with pytest.raises(WalError, match=f"lacks a {stamp} stamp"):
+        server.ingest({k: v for k, v in specs[6].items() if k != stamp})
+    assert (directory / "wal.jsonl").read_bytes() == wal
+    del server
+
+    server = WalServer(directory)
+    assert server.ingested_records == 6
+    for spec in specs[6:]:
+        server.ingest(spec)
+    server.finalize()
+    assert (directory / "detections.jsonl").read_bytes() == expected
