@@ -86,7 +86,7 @@ def snapshot_state(prepared: PreparedExecution) -> dict[str, Any]:
         "world": world,
         "detector": prepared.detector.detector.frontier_snapshot(),
         "recorder": {
-            "events": len(prepared.recorder.events()),
+            "events": prepared.recorder.retained,
             "world_events": len(prepared.recorder.world_events),
             "detections": len(prepared.recorder.detections),
         },

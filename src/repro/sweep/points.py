@@ -185,9 +185,7 @@ def strobe_cost(
     }
     if recorder is not None:
         row["trace_recorded"] = recorder.total_recorded
-        row["trace_retained"] = sum(
-            len(recorder.ring(p)) for p in recorder.pids()
-        )
+        row["trace_retained"] = recorder.retained
     return row
 
 

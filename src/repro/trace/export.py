@@ -35,7 +35,17 @@ from collections import Counter
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.trace.recorder import FlightRecorder, TraceEvent
+from repro.trace.recorder import (
+    KINDS,
+    FlightRecorder,
+    TraceEvent,
+    _check_fields,
+    _encode as _dumps,
+    _is_int,
+    _is_key,
+    _is_str,
+    _is_time,
+)
 
 #: Version 2 adds world-plane ``w`` lines, the ``truncated`` header
 #: flag, and the optional embedded replay ``manifest``.  Version-1
@@ -73,10 +83,6 @@ _KIND_NAMES = {
     "c": "compute", "n": "sense", "a": "actuate",
     "s": "send", "r": "receive", "drop": "drop",
 }
-
-
-def _dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +153,7 @@ def trace_jsonl_lines(recorder: FlightRecorder) -> list[str]:
     lines.append(_dumps({
         "kind": "summary",
         "recorded": recorder.total_recorded,
-        "retained": sum(len(recorder.ring(p)) for p in recorder.pids()),
+        "retained": recorder.retained,
         "evicted": {str(p): recorder.evicted[p] for p in recorder.pids()},
         "detections": len(recorder.detections),
         "world": len(recorder.world_events),
@@ -162,14 +168,79 @@ def write_trace(path: "str | Path", recorder: FlightRecorder) -> Path:
     return path
 
 
+def _is_world_value(v: Any) -> bool:
+    """A JSON scalar, or the ``["repr", text]`` of an opaque value."""
+    if v is None or type(v) in (bool, int, float, str):
+        return True
+    return type(v) is list and len(v) == 2 and v[0] == "repr" \
+        and type(v[1]) is str
+
+
+def _is_evicted(v: Any) -> bool:
+    return type(v) is dict and all(_is_int(n) for n in v.values())
+
+
+_WORLD_FIELDS = {
+    "gseq": (True, _is_int, "an integer"),
+    "t": (True, _is_time, "a finite non-negative number"),
+    "obj": (True, _is_str, "a string"),
+    "attr": (True, _is_str, "a string"),
+    "value": (True, _is_world_value, "a JSON scalar or [\"repr\", text]"),
+}
+_DETECTION_FIELDS = {
+    "detector": (True, _is_str, "a string"),
+    "trigger": (True, _is_key, "a [pid, seq] pair"),
+    "var": (True, _is_str, "a string"),
+    "value": (True, _is_str, "a string"),
+    "label": (True, _is_str, "a string"),
+    "emit_time": (True, _is_time, "a finite non-negative number"),
+    "host": (True, _is_int, "an integer"),
+}
+_SUMMARY_FIELDS = {
+    **{name: (False, _is_int, "an integer") for name in (
+        "recorded", "retained", "detections", "world", "world_opaque")},
+    "evicted": (False, _is_evicted, "an object of integers"),
+}
+_META_FIELDS = {
+    "capacity": (False, _is_int, "an integer"),
+    "truncated": (False, lambda v: type(v) is bool, "a boolean"),
+    "duration": (False, _is_time, "a finite non-negative number"),
+    "plan": (False, lambda v: type(v) is dict, "an object"),
+    "manifest": (False, lambda v: type(v) is dict, "an object"),
+}
+#: Line kind -> (name in messages, field checks), for non-event lines.
+_LINE_FIELDS = {
+    "w": ("world", _WORLD_FIELDS),
+    "detection": ("detection", _DETECTION_FIELDS),
+    "summary": ("summary", _SUMMARY_FIELDS),
+}
+
+
+def _check_meta(meta: Mapping[str, Any]) -> None:
+    """The header fields the readers use, and an embedded fault plan
+    that builds and whose windows lie on the sim-time axis."""
+    _check_fields(meta, _META_FIELDS)
+    if meta.get("plan"):
+        from repro.faults.plan import FaultError, FaultPlan
+
+        try:
+            windows = FaultPlan.from_spec(meta["plan"]).windows()
+        except FaultError as exc:
+            raise ValueError(f"bad fault plan: {exc}") from exc
+        for w in windows:
+            if not (_is_time(w.start)
+                    and (w.clear == float("inf") or _is_time(w.clear))):
+                raise TypeError(f"fault window {w.action!r} has a bad time")
+
+
 def read_trace(path: "str | Path") -> Trace:
     """Parse a trace JSONL back into a :class:`Trace`.
 
     Every contract violation — unparsable line, missing/foreign
-    header, unsupported version, unknown line kind, malformed event
-    fields — raises :class:`TraceFormatError` carrying the file path
-    and the offending 1-based line number, never a bare
-    ``json.JSONDecodeError``.
+    header, unsupported version, unknown line kind, a missing field or
+    one of the wrong type on any line — raises :class:`TraceFormatError`
+    carrying the file path and the offending 1-based line number, never
+    a bare ``json.JSONDecodeError`` or a reader's later crash.
     """
     try:
         text = Path(path).read_text()
@@ -206,23 +277,19 @@ def read_trace(path: "str | Path") -> Trace:
             f"(supported: {', '.join(map(str, SUPPORTED_VERSIONS))})",
             lineno=1,
         )
+    try:
+        _check_meta(meta)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TraceFormatError(
+            path, f"malformed meta header: {exc}", lineno=1
+        ) from exc
     events: list[TraceEvent] = []
     world: list[dict[str, Any]] = []
     detections: list[dict[str, Any]] = []
     summary: dict[str, Any] = {}
-    from repro.trace.recorder import KINDS
-
     for lineno, row in rows[1:]:
         kind = row.get("kind")
-        if kind in KINDS:
-            try:
-                events.append(TraceEvent.from_json(row))
-            except (KeyError, TypeError) as exc:
-                raise TraceFormatError(
-                    path, f"malformed {kind!r} event line: {exc}",
-                    lineno=lineno,
-                ) from exc
-        elif kind == "w":
+        if kind == "w":
             missing = {"t", "obj", "attr", "value", "gseq"} - row.keys()
             if missing:
                 raise TraceFormatError(
@@ -230,15 +297,27 @@ def read_trace(path: "str | Path") -> Trace:
                     f"world line is missing {sorted(missing)}",
                     lineno=lineno,
                 )
-            world.append({k: v for k, v in row.items() if k != "kind"})
-        elif kind == "detection":
-            detections.append({k: v for k, v in row.items() if k != "kind"})
-        elif kind == "summary":
-            summary = {k: v for k, v in row.items() if k != "kind"}
-        else:
+        elif kind not in KINDS and kind not in ("detection", "summary"):
             raise TraceFormatError(
                 path, f"unknown trace line kind {kind!r}", lineno=lineno
             )
+        name, fields = _LINE_FIELDS.get(kind, ("event", None))
+        try:
+            if fields is None:
+                events.append(TraceEvent.from_json(row))
+                continue
+            body = {k: v for k, v in row.items() if k != "kind"}
+            _check_fields(body, fields)
+        except (KeyError, TypeError) as exc:
+            raise TraceFormatError(
+                path, f"malformed {kind!r} {name} line: {exc}", lineno=lineno,
+            ) from exc
+        if kind == "w":
+            world.append(body)
+        elif kind == "detection":
+            detections.append(body)
+        else:
+            summary = body
     return Trace(meta, events, detections, summary, world)
 
 

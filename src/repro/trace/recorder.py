@@ -29,17 +29,29 @@ Memory is bounded: one ring of ``capacity`` entries per process, plus
 the (small) detection list.  Overflow evicts the *oldest* entries and
 counts them in :attr:`FlightRecorder.evicted`, so a long run degrades
 to a suffix window instead of growing without bound.
+
+Recording is by reference.  A ring entry keeps the payload object and
+a copy of the event's stamp dict; the canonical ``digest`` and
+``stamps`` of a :class:`TraceEvent` are built when the recorder is read
+(:meth:`FlightRecorder.ring`, :meth:`FlightRecorder.events`), so
+entries evicted unread never pay for them.  An entry aliases only
+values nobody can change (:data:`_ALIASABLE`); any other payload is
+digested, and any other stamp value canonicalised, at record time.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import deque
-from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
+from repro.clocks.scalar import ScalarTimestamp
+from repro.clocks.vector import VectorTimestamp
 from repro.core.events import Event, EventKind
 from repro.core.records import SensedEventRecord
 
@@ -56,9 +68,44 @@ KINDS = ("c", "n", "a", "s", "r", "drop")
 #: ``drop`` reasons, matching the transport's distinct drop counters.
 DROP_REASONS = ("crashed", "partition", "loss", "burst")
 
-#: Payload types whose digest can be reused by object identity: frozen
-#: sensed records and JSON scalars.
-_IMMUTABLE = (SensedEventRecord, str, int, float, bool, type(None))
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+#: Exact types a ring entry may hold by reference: JSON scalars and
+#: frozen records and timestamps.  Anything else could change after its
+#: event, so it is canonicalised when recorded.
+_ALIASABLE = _SCALARS | {SensedEventRecord, VectorTimestamp, ScalarTimestamp}
+
+
+class _Canonical:
+    """A value canonicalised at record time; :func:`_canon` returns
+    the held form as is."""
+
+    __slots__ = ("form",)
+
+    def __init__(self, value: Any) -> None:
+        self.form = _canon(value)
+
+
+def _canon_mapping(obj: Mapping) -> dict:
+    return {str(k): _canon(obj[k]) for k in sorted(obj, key=str)}
+
+
+def _canon_sequence(obj: "list | tuple") -> list:
+    return [_canon(x) for x in obj]
+
+
+#: ``_canon`` by exact type, for the types recorded runs carry; other
+#: types (subclasses included) take the duck-typed chain below.
+_CANON_BY_TYPE = {
+    SensedEventRecord: lambda r: ["rec", r.pid, r.seq, r.var, repr(r.value)],
+    VectorTimestamp: lambda v: ["vec", list(v.as_tuple())],
+    ScalarTimestamp: lambda s: ["sc", s.value, s.pid],
+    np.ndarray: lambda a: ["arr", a.tolist()],
+    _Canonical: lambda c: c.form,
+    dict: _canon_mapping,
+    list: _canon_sequence,
+    tuple: _canon_sequence,
+}
 
 
 def _canon(obj: Any) -> Any:
@@ -67,6 +114,12 @@ def _canon(obj: Any) -> Any:
     Pure function of the value's *content* — never of object identity —
     so digests are stable across processes and reruns.
     """
+    cls = type(obj)
+    if cls in _SCALARS:
+        return obj
+    fast = _CANON_BY_TYPE.get(cls)
+    if fast is not None:
+        return fast(obj)
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, SensedEventRecord):
@@ -81,12 +134,18 @@ def _canon(obj: Any) -> Any:
     if value is not None and pid is not None:  # ScalarTimestamp-shaped
         return ["sc", value, pid]
     if isinstance(obj, Mapping):
-        return {str(k): _canon(obj[k]) for k in sorted(obj, key=str)}
+        return _canon_mapping(obj)
     if isinstance(obj, (list, tuple)):
-        return [_canon(x) for x in obj]
+        return _canon_sequence(obj)
     if isinstance(obj, (bytes, bytearray)):
         return ["b", obj.hex()]
     return repr(obj)
+
+
+#: Canonical JSON (sorted keys, no whitespace): the encoder
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` would build
+#: afresh on every call.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def payload_digest(payload: Any) -> str:
@@ -96,8 +155,9 @@ def payload_digest(payload: Any) -> str:
     event, inside a strobe broadcast, or at delivery — digest equality
     is how the causal path follows one record across hops.
     """
-    text = json.dumps(_canon(payload), sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
+    return hashlib.blake2b(
+        _encode(_canon(payload)).encode(), digest_size=8
+    ).hexdigest()
 
 
 def stamps_to_json(stamps: Mapping[str, Any]) -> dict[str, Any]:
@@ -105,9 +165,97 @@ def stamps_to_json(stamps: Mapping[str, Any]) -> dict[str, Any]:
     return {str(k): _canon(stamps[k]) for k in sorted(stamps, key=str)}
 
 
+class _Digest:
+    """A payload digested at record time, held in an entry's payload
+    slot in place of a payload that could change after its event."""
+
+    __slots__ = ("hex",)
+
+    def __init__(self, payload: Any) -> None:
+        self.hex = payload_digest(payload)
+
+
+def _payload_ref(payload: Any) -> Any:
+    """What a ring entry keeps of a payload: the object itself when
+    nobody can change it, else its digest taken now."""
+    return payload if type(payload) in _ALIASABLE else _Digest(payload)
+
+
+def _stamps_ref(stamps: Mapping[str, Any]) -> dict[str, Any]:
+    """A copy of an event's stamp dict that later changes to the event
+    (or to an array stamp) cannot reach."""
+    if _ALIASABLE.issuperset(map(type, stamps.values())):
+        return dict(stamps)
+    return {
+        k: v if type(v) in _ALIASABLE else _Canonical(v)
+        for k, v in stamps.items()
+    }
+
+
+def _is_int(v: Any) -> bool:
+    """A JSON integer (``bool`` excluded)."""
+    return type(v) is int
+
+
+def _is_str(v: Any) -> bool:
+    return type(v) is str
+
+
+def _is_time(v: Any) -> bool:
+    """A sim time read from JSON: a non-negative number whose
+    microsecond count (the Perfetto ``ts``) is finite."""
+    if type(v) not in (int, float):
+        return False
+    try:
+        return v >= 0 and math.isfinite(float(v) * 1e6)
+    except OverflowError:
+        return False
+
+
+def _is_key(v: Any) -> bool:
+    return type(v) is list and len(v) == 2 and all(map(_is_int, v))
+
+
+def _check_fields(
+    row: Mapping[str, Any],
+    fields: Mapping[str, tuple[bool, Callable[[Any], bool], str]],
+) -> None:
+    """Check a decoded line against ``fields`` (name -> required, test,
+    expectation): ``KeyError`` for a missing required field,
+    ``TypeError`` for a field that fails its test.  An optional field
+    may be absent or null."""
+    for name, (required, ok, what) in fields.items():
+        value = row.get(name)
+        if value is None and not required:
+            continue
+        if name not in row:
+            raise KeyError(name)
+        if not ok(value):
+            raise TypeError(f"{name!r} must be {what}, got {value!r:.40}")
+
+
+#: Field checks of an event line, for :func:`_check_fields`.
+_EVENT_FIELDS: dict[str, tuple[bool, Callable[[Any], bool], str]] = {
+    "pid": (True, _is_int, "an integer"),
+    "gseq": (True, _is_int, "an integer"),
+    "kind": (True, lambda v: type(v) is str and v in KINDS, "an event kind"),
+    "t": (True, _is_time, "a finite non-negative number"),
+    "digest": (True, _is_str, "a string"),
+    "stamps": (False, lambda v: type(v) is dict, "an object"),
+    "key": (False, _is_key, "a [pid, seq] pair"),
+    "mid": (False, _is_int, "an integer"),
+    "src": (False, _is_int, "an integer"),
+    "dst": (False, _is_int, "an integer"),
+    "msg_kind": (False, _is_str, "a string"),
+    "size": (False, _is_int, "an integer"),
+    "drop": (False, lambda v: type(v) is str and v in DROP_REASONS,
+             "a drop reason"),
+}
+
+
 class TraceEvent(NamedTuple):
     """One flight-recorder entry — an immutable named tuple, built
-    positionally on the recording hot path.
+    positionally when the recorder is read.
 
     ``pid`` is the *ring owner*: the acting process for c/n/a events,
     the sender for ``s``, the destination for ``r``/``drop``.  ``gseq``
@@ -155,6 +303,10 @@ class TraceEvent(NamedTuple):
 
     @staticmethod
     def from_json(d: Mapping[str, Any]) -> "TraceEvent":
+        """The entry of one decoded event line.  Raises ``KeyError`` for
+        a missing required field and ``TypeError`` for a field of the
+        wrong type, so a malformed line never loads."""
+        _check_fields(d, _EVENT_FIELDS)
         key = d.get("key")
         return TraceEvent(
             pid=d["pid"], gseq=d["gseq"], kind=d["kind"], t=d["t"],
@@ -185,7 +337,10 @@ class FlightRecorder:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._sim = sim
         self.capacity = int(capacity)
-        self._rings: dict[int, deque[TraceEvent]] = {}
+        # Ring entries are plain tuples laid out like TraceEvent, with
+        # the payload (or its _Digest) in the digest slot and the stamp
+        # dict copy in the stamps slot; _materialise canonicalises them.
+        self._rings: dict[int, deque[tuple]] = {}
         #: per-pid count of entries evicted from a full ring
         self.evicted: dict[int, int] = {}
         self._gseq = 0
@@ -204,49 +359,21 @@ class FlightRecorder:
         self.world_opaque = 0
         #: run metadata embedded in the trace file header
         self.meta: dict[str, Any] = {}
-        # The last immutable payload digested, and the digests of
-        # immutable payloads sent but not yet received or dropped.
-        self._memo: tuple[Any, str] = (object(), "")
-        self._in_flight: dict[int, tuple[Any, str]] = {}
 
     # ------------------------------------------------------------------
-    def _ring(self, pid: int) -> deque:
+    def _append(self, pid: int, entry: tuple) -> None:
         ring = self._rings.get(pid)
         if ring is None:
-            ring = deque(maxlen=self.capacity)
-            self._rings[pid] = ring
+            ring = self._rings[pid] = deque(maxlen=self.capacity)
             self.evicted[pid] = 0
-        return ring
-
-    def _append(self, pid: int, ev: TraceEvent) -> None:
-        ring = self._ring(pid)
-        if len(ring) == self.capacity:
+        elif len(ring) == self.capacity:
             self.evicted[pid] += 1
-        ring.append(ev)
+        ring.append(entry)
         self._ring_recorded += 1
 
     def _next_gseq(self) -> int:
         self._gseq += 1
         return self._gseq
-
-    def _digest(self, payload: Any) -> str:
-        """:func:`payload_digest`, reused while an immutable payload is
-        the last one digested (a record at its sense event, then in each
-        broadcast copy); mutable payloads are digested every time."""
-        if payload is self._memo[0]:
-            return self._memo[1]
-        digest = payload_digest(payload)
-        if isinstance(payload, _IMMUTABLE):
-            self._memo = (payload, digest)
-        return digest
-
-    def _arrived_digest(self, mid: "int | None", payload: Any) -> str:
-        """The digest of a delivered or dropped payload: the one taken at
-        its send when that payload was immutable, else a fresh one."""
-        sent = self._in_flight.pop(mid, None)
-        if sent is not None and sent[0] is payload:
-            return sent[1]
-        return self._digest(payload)
 
     # -- hooks (called by instrumented components) ----------------------
     def record_event(self, ev: Event) -> None:
@@ -261,39 +388,38 @@ class FlightRecorder:
         if kind is EventKind.SEND or kind is EventKind.RECEIVE:
             return
         key = ev.detail.key() if kind is EventKind.SENSE else None
-        self._append(ev.pid, TraceEvent(
+        self._append(ev.pid, (
             ev.pid, self._next_gseq(), kind.value, ev.true_time,
-            self._digest(ev.detail), stamps_to_json(ev.stamps), key,
+            _payload_ref(ev.detail), _stamps_ref(ev.stamps), key,
+            None, None, None, None, None, None,
         ))
 
     def record_send(self, msg: "Message") -> int:
         """Transport-side hook at dispatch; returns the assigned mid."""
         mid = self._next_mid
         self._next_mid += 1
-        digest = self._digest(msg.payload)
-        if self._memo[0] is msg.payload:
-            self._in_flight[mid] = self._memo
-        self._append(msg.src, TraceEvent(
-            msg.src, self._next_gseq(), "s", msg.sent_at, digest, None, None,
-            mid, msg.src, msg.dst, msg.kind, msg.size,
+        self._append(msg.src, (
+            msg.src, self._next_gseq(), "s", msg.sent_at,
+            _payload_ref(msg.payload), None, None,
+            mid, msg.src, msg.dst, msg.kind, msg.size, None,
         ))
         return mid
 
     def record_receive(self, mid: "int | None", msg: "Message") -> None:
         """Transport-side hook just before the endpoint callback."""
-        self._append(msg.dst, TraceEvent(
+        self._append(msg.dst, (
             msg.dst, self._next_gseq(), "r", self._sim.now,
-            self._arrived_digest(mid, msg.payload), None, None,
-            mid, msg.src, msg.dst, msg.kind, msg.size,
+            _payload_ref(msg.payload), None, None,
+            mid, msg.src, msg.dst, msg.kind, msg.size, None,
         ))
 
     def record_drop(self, mid: "int | None", msg: "Message", reason: str) -> None:
         """Transport-side hook on any drop branch."""
         if reason not in DROP_REASONS:
             raise ValueError(f"unknown drop reason {reason!r}")
-        self._append(msg.dst, TraceEvent(
+        self._append(msg.dst, (
             msg.dst, self._next_gseq(), "drop", self._sim.now,
-            self._arrived_digest(mid, msg.payload), None, None,
+            _payload_ref(msg.payload), None, None,
             mid, msg.src, msg.dst, msg.kind, msg.size, reason,
         ))
 
@@ -342,21 +468,49 @@ class FlightRecorder:
         ``total_recorded == retained + evicted`` holds exactly."""
         return self._ring_recorded
 
+    @property
+    def retained(self) -> int:
+        """Ring entries currently held, over all processes — a count,
+        without building any :class:`TraceEvent`."""
+        return sum(map(len, self._rings.values()))
+
     def pids(self) -> list[int]:
         return sorted(self._rings)
 
     def ring(self, pid: int) -> list[TraceEvent]:
         """The retained entries of one process ring, oldest first."""
-        ring = self._rings.get(pid)
-        return list(ring) if ring is not None else []
+        return _materialise(self._rings.get(pid, ()))
 
     def events(self) -> list[TraceEvent]:
         """All retained entries in recording (= execution) order."""
-        out: list[TraceEvent] = []
-        for pid in sorted(self._rings):
-            out.extend(self._rings[pid])
-        out.sort(key=lambda e: e.gseq)
-        return out
+        entries: list[tuple] = []
+        for ring in self._rings.values():
+            entries.extend(ring)
+        entries.sort(key=itemgetter(1))
+        return _materialise(entries)
+
+
+def _materialise(entries: "Iterable[tuple]") -> list[TraceEvent]:
+    """TraceEvents of raw ring entries, digesting each distinct payload
+    object once (entries keep their payloads alive, so ids are unique
+    for the duration of the call)."""
+    digests: dict[int, str] = {}
+    out: list[TraceEvent] = []
+    append = out.append
+    for (pid, gseq, kind, t, payload, stamps, key,
+         mid, src, dst, msg_kind, size, drop) in entries:
+        if type(payload) is _Digest:
+            digest = payload.hex
+        else:
+            digest = digests.get(id(payload))
+            if digest is None:
+                digest = digests[id(payload)] = payload_digest(payload)
+        append(TraceEvent(
+            pid, gseq, kind, t, digest,
+            None if stamps is None else stamps_to_json(stamps), key,
+            mid, src, dst, msg_kind, size, drop,
+        ))
+    return out
 
 
 __all__ = [

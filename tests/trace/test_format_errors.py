@@ -189,3 +189,74 @@ def test_opaque_world_values_are_wrapped_and_counted():
     values = [w["value"] for w in rec.world_events]
     assert values[0][0] == "repr"
     assert values[1] == 3.5
+
+
+# ---------------------------------------------------------------------------
+# Field types of event lines: a wrong type is a format error, not a crash
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def recorded_hall(tmp_path_factory):
+    from repro.cli import main
+
+    path = tmp_path_factory.mktemp("probe") / "hall.trace"
+    assert main(["trace", "record", "hall", "--seed", "0", "--duration", "10",
+                 "--out", str(path)]) == 0
+    return path
+
+
+def _with_event_field(src, dst, field, value):
+    """Copy trace ``src`` to ``dst`` with ``field`` of its first event
+    line set to ``value``; returns that line's 1-based number."""
+    lines = src.read_text().splitlines()
+    for i, line in enumerate(lines):
+        row = json.loads(line)
+        if row["kind"] in ("c", "n", "a", "s", "r", "drop"):
+            row[field] = value
+            lines[i] = json.dumps(row)
+            dst.write_text("\n".join(lines) + "\n")
+            return i + 1
+    raise AssertionError("trace has no event line")
+
+
+@pytest.mark.parametrize("field, value, command", [
+    ("t", "abc", ["trace", "export", "--format", "perfetto"]),
+    ("gseq", None, ["trace", "report"]),
+    ("pid", "x", ["trace", "export", "--format", "perfetto"]),
+])
+def test_wrong_field_type_exits_2_with_one_line(
+    recorded_hall, tmp_path, capsys, field, value, command
+):
+    from repro.cli import main
+
+    path = tmp_path / "bad.trace"
+    lineno = _with_event_field(recorded_hall, path, field, value)
+    capsys.readouterr()
+    rc = main([*command, str(path), *(["--out", str(tmp_path / "o.json")]
+                                     if "export" in command else [])])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert f"bad.trace:{lineno}: malformed" in err and repr(field) in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("pid", True), ("pid", 1.0), ("gseq", "3"), ("t", float("nan")),
+    ("t", float("inf")), ("t", -1.0), ("digest", 7), ("mid", 1.5),
+    ("src", "0"), ("dst", [1]), ("size", False), ("stamps", [1, 2]),
+    ("key", [1]), ("msg_kind", 3), ("drop", "gremlins"),
+])
+def test_event_field_types_are_checked(recorded_hall, tmp_path, field, value):
+    path = tmp_path / "bad.trace"
+    lineno = _with_event_field(recorded_hall, path, field, value)
+    with pytest.raises(TraceFormatError, match=f":{lineno}: malformed") as err:
+        read_trace(path)
+    assert repr(field) in str(err.value)
+
+
+@pytest.mark.parametrize("field", ["stamps", "key", "mid", "src", "dst",
+                                   "msg_kind", "size", "drop"])
+def test_optional_event_fields_may_be_null(recorded_hall, tmp_path, field):
+    path = tmp_path / "null.trace"
+    _with_event_field(recorded_hall, path, field, None)
+    assert read_trace(path).events
