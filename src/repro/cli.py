@@ -959,38 +959,39 @@ def cmd_serve(args) -> int:
     except (WalError, ValueError) as exc:
         print(f"repro serve: {exc}", file=sys.stderr)
         return 2
-    if args.input:
-        try:
-            with open(args.input, encoding="utf-8") as fh:
-                specs = [
-                    spec for line in fh if line.strip()
-                    for spec in [_json.loads(line)]
-                    if spec.get("kind") != "meta"
-                ]
-        except (OSError, _json.JSONDecodeError) as exc:
-            print(f"repro serve: cannot read stream {args.input!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        done = server.ingested_records
-        if done:
-            print(f"recovered: {done} record(s) already in the WAL, "
-                  f"{max(0, len(specs) - done)} to ingest")
-        try:
-            for spec in specs[done:]:
-                server.ingest(spec)
-                if (args.kill_after is not None
-                        and server.ingested_records >= args.kill_after):
-                    # Simulated crash for the recovery tests: no flush,
-                    # no atexit, no checkpoint — the hardest landing.
-                    _os._exit(42)
-        except WalError as exc:
-            print(f"repro serve: {exc}", file=sys.stderr)
-            return 2
-        if args.finalize and server.ingested_records >= len(specs):
-            server.finalize()
-        else:
-            server.checkpoint()
-    status = server.status()
+    with server:
+        if args.input:
+            try:
+                with open(args.input, encoding="utf-8") as fh:
+                    specs = [
+                        spec for line in fh if line.strip()
+                        for spec in [_json.loads(line)]
+                        if spec.get("kind") != "meta"
+                    ]
+            except (OSError, _json.JSONDecodeError) as exc:
+                print(f"repro serve: cannot read stream {args.input!r}: {exc}",
+                      file=sys.stderr)
+                return 2
+            done = server.ingested_records
+            if done:
+                print(f"recovered: {done} record(s) already in the WAL, "
+                      f"{max(0, len(specs) - done)} to ingest")
+            try:
+                for spec in specs[done:]:
+                    server.ingest(spec)
+                    if (args.kill_after is not None
+                            and server.ingested_records >= args.kill_after):
+                        # Simulated crash for the recovery tests: no flush,
+                        # no atexit, no checkpoint — the hardest landing.
+                        _os._exit(42)
+            except WalError as exc:
+                print(f"repro serve: {exc}", file=sys.stderr)
+                return 2
+            if args.finalize and server.ingested_records >= len(specs):
+                server.finalize()
+            else:
+                server.checkpoint()
+        status = server.status()
     print(f"{status['dir']}: {status['scenario']}/{status['clock_family']} "
           f"ingested={status['ingested']} emitted={status['emitted']} "
           f"detections={status['detections']} "

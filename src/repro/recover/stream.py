@@ -39,6 +39,13 @@ def _decode_value(value: Any) -> Any:
     return value
 
 
+def _decode_scalar(stamp: Any) -> ScalarTimestamp:
+    """``[value, pid]`` with integral components (the check
+    :class:`VectorTimestamp` makes of a vector's)."""
+    value, pid = stamp
+    return ScalarTimestamp(operator.index(value), operator.index(pid))
+
+
 def record_to_spec(record: SensedEventRecord, *, arrival: float) -> dict[str, Any]:
     """One record (plus its delivery time) as a plain JSON-able dict."""
     spec: dict[str, Any] = {
@@ -67,6 +74,7 @@ def record_to_spec(record: SensedEventRecord, *, arrival: float) -> dict[str, An
 def record_from_spec(spec: dict[str, Any]) -> tuple[float, SensedEventRecord]:
     """Inverse of :func:`record_to_spec`: ``(arrival time, record)``."""
     lamport = spec.get("lamport")
+    physical = spec.get("physical")
     strobe_scalar = spec.get("strobe_scalar")
     vector = spec.get("vector")
     strobe_vector = spec.get("strobe_vector")
@@ -75,15 +83,15 @@ def record_from_spec(spec: dict[str, Any]) -> tuple[float, SensedEventRecord]:
         seq=operator.index(spec["seq"]),
         var=str(spec["var"]),
         value=_decode_value(spec["value"]),
-        lamport=None if lamport is None else ScalarTimestamp(*lamport),
+        lamport=None if lamport is None else _decode_scalar(lamport),
         vector=None if vector is None else VectorTimestamp(vector),
         strobe_scalar=(
-            None if strobe_scalar is None else ScalarTimestamp(*strobe_scalar)
+            None if strobe_scalar is None else _decode_scalar(strobe_scalar)
         ),
         strobe_vector=(
             None if strobe_vector is None else VectorTimestamp(strobe_vector)
         ),
-        physical=spec.get("physical"),
+        physical=None if physical is None else float(physical),
         true_time=float(spec.get("true_time", 0.0)),
     )
     return float(spec["t"]), record

@@ -6,8 +6,10 @@ directory and ingests sensed-event records one at a time, surviving
 
 * ``serve.json`` — immutable config (the manifest naming scenario,
   seed, Δ, check period, family) written once at creation;
-* ``wal.jsonl`` — the write-ahead log: every record is appended here
-  *before* it is fed to the detector;
+* ``wal.jsonl`` — the write-ahead log: every record is appended here,
+  flushed and fsync'd *before* it is fed to the detector, through one
+  append handle the server holds from its first ingest until
+  :meth:`WalServer.finalize` or :meth:`WalServer.close`;
 * ``detections.jsonl`` — one line per emitted detection, durably
   appended at each checkpoint;
 * ``checkpoint.json`` — atomically replaced every ``checkpoint_every``
@@ -36,7 +38,7 @@ import json
 import operator
 import os
 from pathlib import Path
-from typing import Any
+from typing import Any, TextIO
 
 from repro.core.records import SensedEventRecord
 from repro.recover.checkpoint import snapshot_digest
@@ -76,7 +78,8 @@ class WalServer:
     """One recoverable streaming detector over a serve directory.
 
     Pass ``manifest`` to create a fresh directory; omit it to reopen
-    (and recover) an existing one.
+    (and recover) an existing one.  A context manager: leaving the
+    ``with`` block releases the WAL append handle (:meth:`close`).
     """
 
     def __init__(
@@ -91,6 +94,7 @@ class WalServer:
         self.wal_path = self.dir / "wal.jsonl"
         self.detections_path = self.dir / "detections.jsonl"
         self.checkpoint_path = self.dir / "checkpoint.json"
+        self._wal: "TextIO | None" = None   # append handle, opened by ingest
         if self.serve_path.exists():
             if manifest is not None:
                 raise WalError(
@@ -336,13 +340,15 @@ class WalServer:
         try:
             arrival, record = record_from_spec(spec)
             self._check_record(arrival, record)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise WalError(
                 f"{self.dir}: malformed record {spec!r}: {exc!r}"
             ) from exc
-        durable_append_lines(
-            self.wal_path, [json.dumps(spec, sort_keys=True)]
-        )
+        if self._wal is None:
+            # Opened after _recover truncated any torn tail, so every
+            # append lands at the repaired end.
+            self._wal = open(self.wal_path, "a", encoding="utf-8")
+        durable_append_lines(self._wal, [json.dumps(spec, sort_keys=True)])
         self._feed(arrival, record)
         self.ingested_records += 1
         if self.ingested_records - self._ckpt_ingested >= self.checkpoint_every:
@@ -381,11 +387,28 @@ class WalServer:
 
     def finalize(self) -> dict[str, Any]:
         """Flush the detector regardless of stability (end of stream)
-        and persist everything.  Idempotent."""
+        and persist everything; releases the WAL handle, which a
+        finalized server never appends to again.  Idempotent."""
+        self.close()
         if not self.finalized:
             self.detector.finalize()
             self.finalized = True
         return self.checkpoint()
+
+    def close(self) -> None:
+        """Release the WAL append handle.  Idempotent; a later
+        :meth:`ingest` reopens it.  Every ingested record is already
+        durable, so closing persists nothing — call :meth:`checkpoint`
+        or :meth:`finalize` for the detections."""
+        fh, self._wal = self._wal, None
+        if fh is not None:
+            fh.close()
+
+    def __enter__(self) -> "WalServer":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     def status(self) -> dict[str, Any]:

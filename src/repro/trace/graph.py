@@ -53,8 +53,17 @@ class CausalGraph:
         self._preds: dict[int, list[int]] = {e.gseq: [] for e in evs}
         self._succs: dict[int, list[int]] = {e.gseq: [] for e in evs}
         self._send_by_mid: dict[int, int] = {}
+        #: first sense entry per record key, and every receive per
+        #: (destination, digest) in gseq order — the two lookups each
+        #: causal_path makes, answered without scanning the trace
+        self._sense_by_key: dict[tuple, TraceEvent] = {}
+        self._recvs: dict[tuple[int, str], list[TraceEvent]] = {}
         last_by_pid: dict[int, int] = {}
         for e in evs:
+            if e.kind == "n":
+                self._sense_by_key.setdefault(e.key, e)
+            elif e.kind == "r":
+                self._recvs.setdefault((e.pid, e.digest), []).append(e)
             if e.kind != "drop":
                 prev = last_by_pid.get(e.pid)
                 if prev is not None:
@@ -125,9 +134,9 @@ class CausalGraph:
     def sense_event(self, key: "tuple[int, int]") -> TraceEvent:
         """The sense entry for record ``(pid, seq)``."""
         key = tuple(key)
-        for e in self._events:
-            if e.kind == "n" and e.key == key:
-                return e
+        ev = self._sense_by_key.get(key)
+        if ev is not None:
+            return ev
         raise TraceError(
             f"sense event for record {key} is not in the trace "
             "(never recorded, or evicted from the ring)"
@@ -149,16 +158,13 @@ class CausalGraph:
         if sense.pid == host:
             return [sense]
         digest = sense.digest
-        recvs = [
-            e for e in self._events
-            if e.kind == "r" and e.pid == host and e.digest == digest
-        ]
+        recvs = self._recvs.get((host, digest))
         if not recvs:
             raise TraceError(
                 f"record {tuple(key)} was never delivered to host {host} "
                 "(dropped in transit, or the receive was evicted)"
             )
-        hop = min(recvs, key=lambda e: e.gseq)
+        hop = recvs[0]
         back: list[TraceEvent] = [hop]          # host-side receive first
         while True:
             send = self.send_of(hop.mid) if hop.mid is not None else None
@@ -171,17 +177,13 @@ class CausalGraph:
             if send.pid == sense.pid:
                 break
             # Flood re-forward: the forwarder received the record first.
-            upstream = [
-                e for e in self._events
-                if e.kind == "r" and e.pid == send.pid
-                and e.digest == digest and e.gseq < send.gseq
-            ]
-            if not upstream:
+            upstream = self._recvs.get((send.pid, digest))
+            if not upstream or upstream[0].gseq >= send.gseq:
                 raise TraceError(
                     f"forwarding hop at p{send.pid} has no upstream receive "
                     f"for record {tuple(key)} (evicted from the ring)"
                 )
-            hop = min(upstream, key=lambda e: e.gseq)
+            hop = upstream[0]
             back.append(hop)
         back.append(sense)
         back.reverse()

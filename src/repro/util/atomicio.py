@@ -19,15 +19,20 @@ bytes, not a torn mixture.  POSIX gives both via the classic dance:
 append-only JSONL journals (sweep partial rows, quarantine sidecars,
 the WAL) — where atomicity is per *line*: a crash mid-append leaves at
 most one torn final line, which every reader in this repository
-(``read_completed_rows``, the WAL recovery scan) already skips.
+(``read_completed_rows``, the WAL recovery scan) already skips.  Given
+a path it opens, appends and closes the file per call; given an
+append-mode text handle the caller holds open (the serve WAL, appended
+once per record) it writes, flushes and fsyncs through that handle, so
+a caller appending often pays the fsync, not a reopen.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, TextIO
 
 
 def fsync_dir(path: "str | Path") -> None:
@@ -88,14 +93,17 @@ def atomic_write_json(
     return atomic_write_text(path, text + "\n")
 
 
-def durable_append_lines(path: "str | Path", lines: Iterable[str]) -> int:
+def durable_append_lines(
+    target: "str | Path | TextIO", lines: Iterable[str]
+) -> int:
     """Append text lines to a journal file, fsync'd before returning.
 
-    Each line must not itself contain a newline (one record per line).
+    ``target`` is a path (opened in append mode for this call only) or
+    an already-open append-mode text handle, which stays open.  Each
+    line must not itself contain a newline (one record per line).
     Returns the number of lines appended.  A crash mid-call leaves at
     most one torn final line — readers must tolerate (skip) it.
     """
-    path = Path(path)
     out = []
     for line in lines:
         if "\n" in line:
@@ -103,7 +111,10 @@ def durable_append_lines(path: "str | Path", lines: Iterable[str]) -> int:
         out.append(line + "\n")
     if not out:
         return 0
-    with open(path, "a", encoding="utf-8") as fh:
+    with (
+        nullcontext(target) if hasattr(target, "write")
+        else open(target, "a", encoding="utf-8")
+    ) as fh:
         fh.write("".join(out))
         fh.flush()
         os.fsync(fh.fileno())

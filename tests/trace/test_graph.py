@@ -156,3 +156,103 @@ def test_attribution_consistent_with_emission_times(hall_run):
         assert att["total_s"] >= 0.0
         assert att["sync_s"] >= 0.0
         assert d["emit_time"] == pytest.approx(emit_by_key[tuple(d["trigger"])])
+
+
+# ---------------------------------------------------------------------------
+# The indexed lookups answer exactly what a scan of every event answers.
+# ---------------------------------------------------------------------------
+
+def _scan_path(events, key, host):
+    """causal_path by scanning every event per lookup (the reference)."""
+    by_mid = {e.mid: e for e in events if e.kind == "s" and e.mid is not None}
+    senses = [e for e in events if e.kind == "n" and e.key == tuple(key)]
+    if not senses:
+        raise TraceError("no sense")
+    sense = senses[0]
+    if sense.pid == host:
+        return [sense]
+
+    def first_recv(pid, before=None):
+        recvs = [e for e in events if e.kind == "r" and e.pid == pid
+                 and e.digest == sense.digest
+                 and (before is None or e.gseq < before)]
+        if not recvs:
+            raise TraceError("no receive")
+        return min(recvs, key=lambda e: e.gseq)
+
+    hop = first_recv(host)
+    back = [hop]
+    while True:
+        send = by_mid.get(hop.mid)
+        if send is None:
+            raise TraceError("no send")
+        back.append(send)
+        if send.pid == sense.pid:
+            break
+        hop = first_recv(send.pid, before=send.gseq)
+        back.append(hop)
+    back.append(sense)
+    return back[::-1]
+
+
+@pytest.fixture(scope="module")
+def faulty_hall_trace():
+    from repro.faults import default_plan
+    from repro.replay import ReplayEngine, RunManifest, code_digest
+
+    manifest = RunManifest(
+        scenario="hall", seed=0, duration=120.0, delta=0.2,
+        clock_family="vector_strobe", capacity=65536, plan=default_plan(),
+        code_digest=code_digest(),
+    )
+    return ReplayEngine().execute(manifest).recorder
+
+
+def _path_or_error(lookup):
+    try:
+        return [e.gseq for e in lookup()]
+    except TraceError:
+        return "error"
+
+
+def test_indexed_causal_path_matches_a_full_scan(faulty_hall_trace):
+    rec = faulty_hall_trace
+    events = sorted(rec.events(), key=lambda e: e.gseq)
+    graph = CausalGraph(events)
+    assert rec.detections and {e.kind for e in events} >= {"n", "s", "r", "drop"}
+    for d in rec.detections:
+        key, host = tuple(d["trigger"]), d["host"]
+        path = [e.gseq for e in _scan_path(events, key, host)]
+        att = graph.attribute_latency(d)
+        assert att["path"] == path
+        emit, sense = float(d["emit_time"]), graph.event(path[0])
+        assert att["total_s"] == emit - sense.t
+        assert att["sync_s"] == emit - graph.event(path[-1]).t
+    # Every sensed record at every host, including undelivered ones.
+    keys = sorted({e.key for e in events if e.kind == "n"})
+    hosts = sorted({e.pid for e in events})
+    for key in keys[::3]:
+        for host in hosts:
+            assert _path_or_error(lambda: graph.causal_path(key, host)) == \
+                _path_or_error(lambda: _scan_path(events, key, host))
+
+
+def test_indexed_causal_path_matches_a_full_scan_under_flooding(chain):
+    """Duplicate copies, a forwarder's later receive and a forward
+    with no upstream receive: the first-arrival walk agrees with the
+    scan, errors included."""
+    events = chain + [
+        _ev(3, 7, "r", 1.6, mid=2, src=1, dst=3, msg_kind="strobe"),
+        _ev(1, 8, "s", 1.1, mid=2, src=1, dst=3, msg_kind="strobe"),
+        _ev(3, 9, "s", 1.7, mid=3, src=3, dst=0, msg_kind="strobe"),
+        _ev(0, 10, "r", 1.9, mid=3, src=3, dst=0, msg_kind="strobe"),
+        _ev(2, 11, "r", 2.0, mid=3, src=3, dst=2, msg_kind="strobe"),
+        _ev(4, 12, "s", 2.1, mid=4, src=4, dst=5, msg_kind="strobe"),
+        _ev(5, 13, "r", 2.2, mid=4, src=4, dst=5, msg_kind="strobe"),
+    ]
+    graph = CausalGraph(events)
+    ordered = sorted(events, key=lambda e: e.gseq)
+    for host in range(6):
+        assert _path_or_error(lambda: graph.causal_path((1, 1), host)) == \
+            _path_or_error(lambda: _scan_path(ordered, (1, 1), host))
+    assert _path_or_error(lambda: graph.causal_path((1, 1), 5)) == "error"
