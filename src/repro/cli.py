@@ -1010,18 +1010,13 @@ def cmd_chaos(args) -> int:
     Exit codes: 0 ripple check passed, 1 failed (a mismatch before the
     first fault or beyond the ripple horizon), 2 usage error.
     """
-    from repro.faults import FaultError, FaultPlan, default_plan, report_json, run_chaos
+    from repro.faults import report_json, run_chaos
 
-    if args.plan == "default":
-        plan = default_plan()
-    else:
-        try:
-            with open(args.plan, encoding="utf-8") as fh:
-                plan = FaultPlan.from_json(fh.read())
-        except (OSError, ValueError, FaultError) as exc:
-            print(f"repro chaos: cannot load plan {args.plan!r}: {exc}",
-                  file=sys.stderr)
-            return 2
+    try:
+        plan = _load_plan(args.plan)
+    except ValueError as exc:
+        print(f"repro chaos: {exc}", file=sys.stderr)
+        return 2
     report = run_chaos(
         args.scenario, seed=args.seed, duration=args.duration,
         plan=plan, ripple_horizon=args.horizon,

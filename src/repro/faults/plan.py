@@ -30,12 +30,24 @@ action                    effect (see the injector for exact semantics)
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
 
 class FaultError(Exception):
     """Raised on malformed plans or inapplicable fault actions."""
+
+
+def is_finite_real(value: object) -> bool:
+    """True for a finite real number; ``bool``, NaN, ±inf, strings and
+    ``None`` are not (JSON decodes all of them without complaint)."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 #: Every action the injector understands.
@@ -83,18 +95,22 @@ class FaultEvent:
     duration: float | None = None
 
     def __post_init__(self) -> None:
-        if self.action not in ACTIONS:
+        if not isinstance(self.action, str) or self.action not in ACTIONS:
             raise FaultError(f"unknown fault action {self.action!r}")
-        if self.time < 0:
-            raise FaultError(f"fault time must be >= 0, got {self.time}")
+        if not is_finite_real(self.time) or self.time < 0:
+            raise FaultError(f"fault time must be a finite number >= 0, got {self.time!r}")
+        if not isinstance(self.params, Mapping):
+            raise FaultError(f"fault params must be a mapping, got {self.params!r}")
         if self.duration is not None:
             if self.action not in PAIRED:
                 raise FaultError(
                     f"action {self.action!r} takes no duration "
                     f"(only {sorted(PAIRED)} do)"
                 )
-            if self.duration <= 0:
-                raise FaultError(f"duration must be positive, got {self.duration}")
+            if not is_finite_real(self.duration) or self.duration <= 0:
+                raise FaultError(
+                    f"duration must be a finite positive number, got {self.duration!r}"
+                )
         object.__setattr__(self, "time", float(self.time))
         object.__setattr__(self, "params", dict(self.params))
         if self.duration is not None:
@@ -120,6 +136,8 @@ class FaultEvent:
 
     @staticmethod
     def from_spec(spec: Mapping[str, Any]) -> "FaultEvent":
+        if not isinstance(spec, Mapping):
+            raise FaultError(f"fault event must be an object, got {spec!r}")
         known = {"time", "action", "params", "duration"}
         extra = set(spec) - known
         if extra:
@@ -129,7 +147,7 @@ class FaultEvent:
         return FaultEvent(
             time=spec["time"],
             action=spec["action"],
-            params=dict(spec.get("params", {})),
+            params=spec.get("params", {}),
             duration=spec.get("duration"),
         )
 
@@ -170,8 +188,8 @@ class FaultPlan:
     events: tuple[FaultEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise FaultError("fault plan needs a name")
+        if not isinstance(self.name, str) or not self.name:
+            raise FaultError(f"fault plan needs a name, got {self.name!r}")
         object.__setattr__(self, "events", tuple(self.events))
 
     def __len__(self) -> int:
@@ -238,13 +256,18 @@ class FaultPlan:
 
     @staticmethod
     def from_spec(spec: Mapping[str, Any]) -> "FaultPlan":
+        if not isinstance(spec, Mapping):
+            raise FaultError(f"fault plan must be an object, got {spec!r}")
         known = {"name", "events"}
         extra = set(spec) - known
         if extra:
             raise FaultError(f"unknown fault-plan keys {sorted(extra)}")
+        events = spec.get("events", ())
+        if not isinstance(events, (list, tuple)):
+            raise FaultError(f"fault-plan events must be a list, got {events!r}")
         return FaultPlan(
             name=spec.get("name", ""),
-            events=tuple(FaultEvent.from_spec(e) for e in spec.get("events", ())),
+            events=tuple(FaultEvent.from_spec(e) for e in events),
         )
 
     def to_json(self) -> str:
@@ -263,5 +286,6 @@ __all__ = [
     "FaultEvent",
     "FaultWindow",
     "FaultPlan",
+    "is_finite_real",
     "window_at",
 ]

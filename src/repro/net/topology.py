@@ -1,9 +1,9 @@
 """Logical network overlays ``L`` (and, reused, world-plane overlays ``C``).
 
-§2.1: "L is a dynamically changing graph."  :class:`Topology` wraps a
-static networkx graph with the factory constructors the scenarios
-need; :class:`DynamicTopology` adds seeded edge churn so experiments
-can model mobility-induced link changes.
+§2.1: "L is a dynamically changing graph."  :class:`Topology` holds a
+static graph as a node → neighbour-set map, with the factory
+constructors the scenarios need; :class:`DynamicTopology` adds seeded
+edge churn so experiments can model mobility-induced link changes.
 
 The transport layer consults the topology per delivery: a message is
 deliverable iff the endpoints are currently connected (directly or —
@@ -17,31 +17,74 @@ the version.
 
 from __future__ import annotations
 
-import networkx as nx
+from itertools import combinations
+from typing import Any, Iterable, NamedTuple
+
 import numpy as np
 
+#: Node → set of neighbours; every edge is stored in both directions.
+Adjacency = dict[int, set[int]]
 
-def _component_index(g: nx.Graph) -> dict[int, int]:
-    """Node → connected-component index of ``g``."""
+
+class TopologyError(ValueError):
+    """Raised on an empty topology or a query about an unknown node."""
+
+
+class _Graph(NamedTuple):
+    """The ``nodes`` / ``edges`` pair :class:`Topology` is built from."""
+
+    nodes: Iterable[int]
+    edges: Iterable[tuple[int, int]]
+
+
+def _adjacency(nodes: Iterable[int], edges: Iterable[Any]) -> Adjacency:
+    """Adjacency map of a graph; an edge endpoint missing from
+    ``nodes`` becomes a node."""
+    adj: Adjacency = {node: set() for node in nodes}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    return adj
+
+
+def _component_index(adj: Adjacency) -> dict[int, int]:
+    """Node → connected-component index of ``adj``."""
     comp: dict[int, int] = {}
-    for i, nodes in enumerate(nx.connected_components(g)):
-        for node in nodes:
-            comp[node] = i
+    index = 0
+    for start in adj:
+        if start in comp:
+            continue
+        comp[start] = index
+        stack = [start]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in comp:
+                    comp[v] = index
+                    stack.append(v)
+        index += 1
     return comp
+
+
+def _items(source: Any, name: str) -> Iterable[Any]:
+    """``source.<name>``, called if it is a method (a :class:`Topology`)
+    and iterated as-is otherwise (a networkx view, a :class:`_Graph`)."""
+    attr = getattr(source, name)
+    return attr() if callable(attr) else attr
 
 
 class Topology:
     """A (static) logical overlay graph over integer node ids.
 
-    The graph must not be mutated behind the topology's back: edge
-    changes go through :class:`DynamicTopology`, which bumps
+    ``graph`` is any object exposing ``nodes`` and ``edges`` — another
+    topology, or a networkx graph — and is copied, never aliased.
+    Edge changes go through :class:`DynamicTopology`, which bumps
     :attr:`version` so cached reachability is recomputed.
     """
 
-    def __init__(self, graph: nx.Graph) -> None:
-        if graph.number_of_nodes() == 0:
-            raise ValueError("topology needs at least one node")
-        self._g = graph
+    def __init__(self, graph: Any) -> None:
+        self._adj = _adjacency(_items(graph, "nodes"), _items(graph, "edges"))
+        if not self._adj:
+            raise TopologyError("topology needs at least one node")
         self._version = 0
         self._comp: dict[int, int] = {}
         self._comp_version = -1
@@ -50,43 +93,44 @@ class Topology:
     @classmethod
     def complete(cls, n: int) -> "Topology":
         """Fully connected overlay (the default for small sensornets)."""
-        return cls(nx.complete_graph(n))
+        return cls(_Graph(range(n), combinations(range(n), 2)))
 
     @classmethod
     def ring(cls, n: int) -> "Topology":
-        return cls(nx.cycle_graph(n))
+        return cls(_Graph(range(n), ((i, (i + 1) % n) for i in range(n))))
 
     @classmethod
     def star(cls, n: int, center: int = 0) -> "Topology":
         """Hub-and-spoke: the distinguished root process P0 pattern (§2.1)."""
-        g = nx.Graph()
-        g.add_nodes_from(range(n))
-        g.add_edges_from((center, i) for i in range(n) if i != center)
-        return cls(g)
+        return cls(_Graph(range(n), ((center, i) for i in range(n) if i != center)))
 
     @classmethod
     def grid(cls, rows: int, cols: int) -> "Topology":
-        g = nx.convert_node_labels_to_integers(nx.grid_2d_graph(rows, cols))
-        return cls(g)
+        """``rows`` × ``cols`` lattice; cell (r, c) is node ``r * cols + c``."""
+        edges = [(r * cols + c, r * cols + c + 1)
+                 for r in range(rows) for c in range(cols - 1)]
+        edges += [(r * cols + c, (r + 1) * cols + c)
+                  for r in range(rows - 1) for c in range(cols)]
+        return cls(_Graph(range(rows * cols), edges))
 
     @classmethod
     def random_geometric(
         cls, n: int, radius: float, rng: np.random.Generator
     ) -> "Topology":
         """Unit-square random geometric graph — the standard WSN
-        deployment model."""
-        pos = {i: (float(rng.random()), float(rng.random())) for i in range(n)}
-        g = nx.random_geometric_graph(n, radius, pos=pos)
-        return cls(g)
+        deployment model: nodes within Euclidean ``radius`` are linked."""
+        pos = [(float(rng.random()), float(rng.random())) for _ in range(n)]
+        r2 = radius ** 2
+        edges = (
+            (i, j) for i, j in combinations(range(n), 2)
+            if sum((a - b) ** 2 for a, b in zip(pos[i], pos[j])) <= r2
+        )
+        return cls(_Graph(range(n), edges))
 
     # -- queries --------------------------------------------------------
     @property
     def n(self) -> int:
-        return self._g.number_of_nodes()
-
-    @property
-    def graph(self) -> nx.Graph:
-        return self._g
+        return len(self._adj)
 
     @property
     def version(self) -> int:
@@ -94,38 +138,64 @@ class Topology:
         return self._version
 
     def nodes(self) -> list[int]:
-        return sorted(self._g.nodes)
+        return sorted(self._adj)
+
+    def edges(self) -> list[tuple[int, int]]:
+        """Every edge once, as a sorted ``(a, b)`` pair with ``a <= b``
+        (``a == b`` only for a self-loop, as in ``ring(1)``)."""
+        return sorted((a, b) for a, nbrs in self._adj.items() for b in nbrs if a <= b)
 
     def neighbors(self, node: int) -> list[int]:
-        return sorted(self._g.neighbors(node))
+        try:
+            return sorted(self._adj[node])
+        except KeyError:
+            raise TopologyError(f"node {node} is not in the topology") from None
 
     def has_edge(self, a: int, b: int) -> bool:
-        return self._g.has_edge(a, b)
+        return b in self._adj.get(a, ())
+
+    def _components(self) -> dict[int, int]:
+        if self._comp_version != self._version:
+            self._comp = _component_index(self._adj)
+            self._comp_version = self._version
+        return self._comp
 
     def connected(self, a: int, b: int) -> bool:
         """True iff a path exists between a and b (overlay reachability).
 
         O(1) per call against the component map of the current version;
-        an unknown node raises :class:`networkx.NodeNotFound`."""
+        an unknown node raises :class:`TopologyError`."""
         if a == b:
             return True
-        if self._comp_version != self._version:
-            self._comp = _component_index(self._g)
-            self._comp_version = self._version
-        ca, cb = self._comp.get(a), self._comp.get(b)
+        comp = self._components()
+        ca, cb = comp.get(a), comp.get(b)
         if ca is None or cb is None:
-            raise nx.NodeNotFound(f"Either source {a} or target {b} is not in G")
+            raise TopologyError(f"either source {a} or target {b} is not in the topology")
         return ca == cb
 
     def is_connected(self) -> bool:
-        return nx.is_connected(self._g)
+        return len(set(self._components().values())) == 1
 
     def hop_distance(self, a: int, b: int) -> int:
-        """Shortest-path hops, or -1 if unreachable."""
-        try:
-            return int(nx.shortest_path_length(self._g, a, b))
-        except nx.NetworkXNoPath:
-            return -1
+        """Shortest-path hops (breadth-first), or -1 if unreachable."""
+        adj = self._adj
+        if a not in adj or b not in adj:
+            raise TopologyError(f"either source {a} or target {b} is not in the topology")
+        seen = {a}
+        frontier = [a]
+        hops = 0
+        while frontier:
+            if b in seen:
+                return hops
+            hops += 1
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        nxt.append(v)
+            frontier = nxt
+        return -1
 
 
 class DynamicTopology(Topology):
@@ -136,8 +206,8 @@ class DynamicTopology(Topology):
     mobility-induced link changes.  Node set is fixed.
     """
 
-    def __init__(self, graph: nx.Graph) -> None:
-        super().__init__(graph.copy())
+    def __init__(self, graph: Any) -> None:
+        super().__init__(graph)
         self._epoch = 0
 
     @property
@@ -150,33 +220,29 @@ class DynamicTopology(Topology):
         number of edges flipped."""
         if not 0.0 <= flip_fraction <= 1.0:
             raise ValueError(f"flip_fraction must be in [0,1], got {flip_fraction}")
-        nodes = self.nodes()
-        n = len(nodes)
-        pairs = [(nodes[i], nodes[j]) for i in range(n) for j in range(i + 1, n)]
+        pairs = list(combinations(self.nodes(), 2))
         k = int(round(flip_fraction * len(pairs)))
         if k == 0:
             self._epoch += 1
             return 0
         idx = rng.choice(len(pairs), size=k, replace=False)
-        flipped = 0
         for i in idx:
             a, b = pairs[int(i)]
-            if self._g.has_edge(a, b):
-                self._g.remove_edge(a, b)
-            else:
-                self._g.add_edge(a, b)
-            flipped += 1
+            self._adj[a] ^= {b}
+            self._adj[b] ^= {a}
         self._epoch += 1
         self._version += 1
-        return flipped
+        return k
 
     def remove_edge(self, a: int, b: int) -> None:
-        if self._g.has_edge(a, b):
-            self._g.remove_edge(a, b)
+        if self.has_edge(a, b):
+            self._adj[a].discard(b)
+            self._adj[b].discard(a)
             self._version += 1
 
     def add_edge(self, a: int, b: int) -> None:
-        self._g.add_edge(a, b)
+        self._adj.setdefault(a, set()).add(b)
+        self._adj.setdefault(b, set()).add(a)
         self._version += 1
 
 
@@ -242,15 +308,12 @@ class PartitionOverlay:
 
     def _component_map(self, topo: Topology) -> dict[int, int]:
         if topo is not self._cache_topo or topo.version != self._cache_version:
-            g = topo.graph.copy()
-            for a, b in self._cut:
-                if g.has_edge(a, b):
-                    g.remove_edge(a, b)
-            if self._groups is not None:
-                for a, b in list(g.edges):
-                    if self._group_of(int(a)) != self._group_of(int(b)):
-                        g.remove_edge(a, b)
-            self._components = _component_index(g)
+            residual = [
+                (a, b) for a, b in topo.edges()
+                if (a, b) not in self._cut
+                and (self._groups is None or self._group_of(a) == self._group_of(b))
+            ]
+            self._components = _component_index(_adjacency(topo.nodes(), residual))
             self._cache_topo = topo
             self._cache_version = topo.version
         return self._components
@@ -273,4 +336,4 @@ class PartitionOverlay:
         return f"PartitionOverlay(cut_edges={sorted(self._cut)})"
 
 
-__all__ = ["Topology", "DynamicTopology", "PartitionOverlay"]
+__all__ = ["Topology", "DynamicTopology", "PartitionOverlay", "TopologyError"]

@@ -140,7 +140,7 @@ class Network:
         """Attach the receive callback for endpoint ``node``."""
         if node in self._endpoints:
             raise TransportError(f"endpoint {node} already registered")
-        if node not in self._topo.graph.nodes:
+        if node not in self._topo.nodes():
             raise TransportError(f"endpoint {node} not in topology")
         self._endpoints[node] = receiver
         self._dests = tuple(sorted(self._endpoints))

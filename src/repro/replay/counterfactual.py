@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, is_finite_real
 from repro.replay.engine import ReplayError
 from repro.replay.manifest import CLOCK_FAMILIES, RunManifest
 
@@ -63,6 +63,10 @@ class CounterfactualSpec:
                 f"unknown clock family {self.clock_family!r} "
                 f"(have {', '.join(CLOCK_FAMILIES)})"
             )
+        for name in ("delta", "check_period", "liveness_horizon"):
+            value = getattr(self, name)
+            if value is not None and not is_finite_real(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.delta is not None and self.delta < 0:
             raise ValueError(f"delta must be non-negative, got {self.delta}")
         if self.check_period is not None and self.check_period <= 0:

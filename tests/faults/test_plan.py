@@ -122,6 +122,66 @@ def test_from_spec_rejects_unknown_keys():
         FaultEvent.from_spec({"action": "crash"})
 
 
+_NOT_FINITE = ["x", None, [1.0], {"t": 1}, True, float("nan"), float("inf"), -float("inf")]
+
+
+@pytest.mark.parametrize("value", _NOT_FINITE)
+def test_event_rejects_non_finite_time_and_duration(value):
+    with pytest.raises(FaultError, match="time"):
+        FaultEvent.from_spec({"time": value, "action": "crash"})
+    if value is not None:          # None means "no duration"
+        with pytest.raises(FaultError, match="duration"):
+            FaultEvent.from_spec({"time": 1.0, "action": "crash", "duration": value})
+
+
+@pytest.mark.parametrize("params", [None, [1, 2], "pid", 3])
+def test_event_rejects_non_mapping_params(params):
+    with pytest.raises(FaultError, match="params"):
+        FaultEvent.from_spec({"time": 1.0, "action": "crash", "params": params})
+
+
+@pytest.mark.parametrize("text", [
+    "[]",
+    '{"name": "p", "events": 5}',
+    '{"name": "p", "events": [5]}',
+    '{"name": ["p"], "events": []}',
+    '{"name": "p", "events": [{"time": 1.0, "action": ["crash"]}]}',
+])
+def test_from_json_rejects_malformed_shapes(text):
+    with pytest.raises(FaultError):
+        FaultPlan.from_json(text)
+
+
+def test_numpy_and_int_times_are_accepted():
+    import numpy as np
+    ev = FaultEvent.from_spec({"time": np.float64(2.5), "action": "crash",
+                               "duration": 3})
+    assert (ev.time, ev.duration) == (2.5, 3.0)
+    assert type(ev.time) is float and type(ev.duration) is float
+
+
+@pytest.mark.parametrize("command", [
+    ["chaos", "--duration", "20"],
+    ["trace", "record", "hall", "--duration", "20"],
+])
+@pytest.mark.parametrize("time", ['"x"', "NaN", "null", "[1]"])
+def test_cli_rejects_bad_plan_time_in_one_line(command, time, tmp_path, capsys):
+    from repro.cli import main
+
+    plan = tmp_path / "plan.json"
+    plan.write_text(
+        '{"name": "p", "events": [{"time": %s, "action": "crash", '
+        '"params": {"pid": 1}}]}' % time
+    )
+    argv = [*command, "--plan", str(plan)]
+    if command[0] == "trace":
+        argv += ["--out", str(tmp_path / "x.trace")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "fault time" in err, err
+    assert not (tmp_path / "x.trace").exists()
+
+
 _paired = sorted(PAIRED)
 _instant = sorted(ACTIONS - set(PAIRED) - set(PAIRED.values()))
 

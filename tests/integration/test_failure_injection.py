@@ -77,7 +77,7 @@ def test_detection_survives_one_door_crash():
 # ---------------------------------------------------------------------------
 
 def test_partition_isolates_and_heals():
-    topo = DynamicTopology(Topology.complete(2).graph)
+    topo = DynamicTopology(Topology.complete(2))
     s = PervasiveSystem(
         SystemConfig(n_processes=2, clocks=ClockConfig.strobes()),
         topology=topo,

@@ -1,11 +1,25 @@
-"""Tests for overlay topologies."""
+"""Tests for overlay topologies (networkx is the oracle)."""
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.topology import DynamicTopology, PartitionOverlay, Topology
+from repro.net.topology import DynamicTopology, PartitionOverlay, Topology, TopologyError
+
+
+def _nx_edges(g):
+    """``g``'s edges as the sorted ``(a, b)``, ``a <= b`` pairs of
+    :meth:`Topology.edges`."""
+    return sorted(tuple(sorted(e)) for e in g.edges)
+
+
+def _to_nx(topo):
+    g = nx.Graph()
+    g.add_nodes_from(topo.nodes())
+    g.add_edges_from(topo.edges())
+    return g
 
 
 def test_complete_graph_all_connected():
@@ -45,7 +59,7 @@ def test_grid():
 def test_random_geometric_deterministic():
     a = Topology.random_geometric(20, 0.5, np.random.default_rng(7))
     b = Topology.random_geometric(20, 0.5, np.random.default_rng(7))
-    assert set(a.graph.edges) == set(b.graph.edges)
+    assert a.edges() == b.edges()
 
 
 def test_connected_uses_paths_not_just_edges():
@@ -59,13 +73,13 @@ def test_connected_to_self():
 
 
 def test_empty_topology_rejected():
-    import networkx as nx
-    with pytest.raises(ValueError):
+    with pytest.raises(TopologyError):
         Topology(nx.Graph())
+    with pytest.raises(ValueError):
+        Topology.complete(0)
 
 
 def test_hop_distance_unreachable():
-    import networkx as nx
     g = nx.Graph()
     g.add_nodes_from([0, 1])
     t = Topology(g)
@@ -74,30 +88,30 @@ def test_hop_distance_unreachable():
 
 
 def test_dynamic_churn_flips_edges():
-    t = DynamicTopology(Topology.complete(6).graph)
+    t = DynamicTopology(Topology.complete(6))
     rng = np.random.default_rng(1)
-    before = set(t.graph.edges)
+    before = set(t.edges())
     flipped = t.churn(rng, flip_fraction=0.2)
-    after = set(t.graph.edges)
+    after = set(t.edges())
     assert flipped == 3        # 15 pairs * 0.2
     assert before != after
     assert t.epoch == 1
 
 
 def test_dynamic_churn_zero_fraction():
-    t = DynamicTopology(Topology.complete(4).graph)
+    t = DynamicTopology(Topology.complete(4))
     assert t.churn(np.random.default_rng(0), flip_fraction=0.0) == 0
     assert t.epoch == 1
 
 
 def test_dynamic_churn_validation():
-    t = DynamicTopology(Topology.complete(3).graph)
+    t = DynamicTopology(Topology.complete(3))
     with pytest.raises(ValueError):
         t.churn(np.random.default_rng(0), flip_fraction=1.5)
 
 
 def test_dynamic_add_remove_edge():
-    t = DynamicTopology(Topology.ring(4).graph)
+    t = DynamicTopology(Topology.ring(4))
     t.add_edge(0, 2)
     assert t.has_edge(0, 2)
     t.remove_edge(0, 2)
@@ -107,9 +121,73 @@ def test_dynamic_add_remove_edge():
 
 def test_dynamic_does_not_mutate_source_graph():
     base = Topology.complete(4)
-    t = DynamicTopology(base.graph)
+    t = DynamicTopology(base)
     t.remove_edge(0, 1)
     assert base.has_edge(0, 1)
+
+
+# ---------------------------------------------------------------------------
+# Factories and churn against networkx
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_complete_ring_star_match_networkx(n):
+    assert Topology.complete(n).edges() == _nx_edges(nx.complete_graph(n))
+    assert Topology.ring(n).edges() == _nx_edges(nx.cycle_graph(n))
+    assert Topology.star(n).edges() == _nx_edges(nx.star_graph(n - 1))
+    for center in range(n):
+        star = nx.relabel_nodes(nx.star_graph(n - 1), {0: center, center: 0})
+        t = Topology.star(n, center=center)
+        assert t.nodes() == list(range(n))
+        assert t.edges() == _nx_edges(star)
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (5, 1), (2, 3), (3, 3), (4, 6)])
+def test_grid_matches_networkx(rows, cols):
+    want = nx.convert_node_labels_to_integers(nx.grid_2d_graph(rows, cols))
+    t = Topology.grid(rows, cols)
+    assert t.nodes() == sorted(want.nodes)
+    assert t.edges() == _nx_edges(want)
+
+
+def test_random_geometric_matches_networkx():
+    """240 (seed, radius) cases: the edge set equals networkx's
+    ``random_geometric_graph`` on the same positions."""
+    n = 16
+    for seed in range(40):
+        for radius in (0.05, 0.15, 0.3, 0.45, 0.7, 1.5):
+            rng = np.random.default_rng(seed)
+            pos = {i: (float(rng.random()), float(rng.random())) for i in range(n)}
+            want = nx.random_geometric_graph(n, radius, pos=pos)
+            t = Topology.random_geometric(n, radius, np.random.default_rng(seed))
+            assert t.nodes() == list(range(n))
+            assert t.edges() == _nx_edges(want), (seed, radius)
+
+
+def test_edges_are_sorted_pairs():
+    t = Topology(nx.Graph([(3, 1), (2, 0), (1, 0)]))
+    assert t.edges() == [(0, 1), (0, 2), (1, 3)]
+    assert Topology(t).edges() == t.edges()
+
+
+def test_fixed_seed_churn_sequence():
+    """Seeded churn flips the same edges as the networkx-backed topology
+    did: one ``rng.choice`` over the sorted node pairs per step."""
+    t = DynamicTopology(Topology.ring(6))
+    rng = np.random.default_rng(2026)
+    flips = []
+    for _ in range(4):
+        before = set(t.edges())
+        assert t.churn(rng, flip_fraction=0.25) == 4
+        flips.append(sorted(before ^ set(t.edges())))
+    assert flips == [
+        [(0, 1), (0, 3), (2, 3), (2, 4)],
+        [(0, 5), (1, 5), (3, 4), (3, 5)],
+        [(0, 3), (1, 5), (2, 3), (3, 4)],
+        [(0, 5), (2, 3), (2, 5), (3, 4)],
+    ]
+    assert t.edges() == [(0, 5), (1, 2), (2, 4), (2, 5), (3, 5), (4, 5)]
+    assert t.epoch == 4 and t.version == 4
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +195,21 @@ def test_dynamic_does_not_mutate_source_graph():
 # ---------------------------------------------------------------------------
 
 def test_unknown_node_raises():
-    import networkx as nx
     t = Topology.ring(4)
-    with pytest.raises(nx.NodeNotFound):
+    with pytest.raises(TopologyError):
         t.connected(0, 99)
-    with pytest.raises(nx.NodeNotFound):
+    with pytest.raises(TopologyError):
         t.connected(99, 0)
     assert t.connected(99, 99)     # self-reachability needs no lookup
+    for query in (lambda: t.hop_distance(0, 99), lambda: t.hop_distance(99, 0),
+                  lambda: t.hop_distance(99, 99), lambda: t.neighbors(99)):
+        with pytest.raises(TopologyError):
+            query()
+    assert not t.has_edge(0, 99)
 
 
 def test_version_bumps_on_every_edge_change():
-    t = DynamicTopology(Topology.ring(4).graph)
+    t = DynamicTopology(Topology.ring(4))
     assert t.version == 0
     t.add_edge(0, 2)
     t.remove_edge(0, 2)
@@ -141,7 +223,6 @@ def test_version_bumps_on_every_edge_change():
 def test_partition_overlay_sees_edge_swap():
     """One edge removed and another added keeps the edge count: the
     overlay's residual component map must still be rebuilt."""
-    import networkx as nx
     t = DynamicTopology(nx.path_graph(4))
     overlay = PartitionOverlay(cut_edges=[(0, 1)])
     assert overlay.connected(t, 1, 3)
@@ -174,8 +255,7 @@ def _overlays(draw, n):
 
 
 def _residual(topo, overlay):
-    import networkx as nx
-    g = nx.Graph(topo.graph)
+    g = _to_nx(topo)
     if overlay is None:
         return g
     g.remove_edges_from([e for e in overlay.cut_edges if g.has_edge(*e)])
@@ -196,18 +276,23 @@ def _residual(topo, overlay):
 )
 @settings(max_examples=80, deadline=None)
 def test_reachability_matches_has_path(n, p, graph_seed, mutations, data):
-    """Cached reachability equals networkx's path search on the current
-    (residual) graph for every pair, after every mutation."""
-    import networkx as nx
+    """Cached reachability, connectivity and hop distance equal
+    networkx's on the current (residual) graph for every pair, after
+    every mutation."""
     topo = DynamicTopology(nx.gnp_random_graph(n, p, seed=graph_seed))
     overlay = data.draw(_overlays(n))
 
     def check():
+        g = _to_nx(topo)
         residual = _residual(topo, overlay)
+        assert topo.is_connected() == nx.is_connected(g)
         for a in range(n):
             for b in range(n):
-                want = nx.has_path(topo.graph, a, b)
+                want = nx.has_path(g, a, b)
                 assert topo.connected(a, b) == want
+                assert topo.hop_distance(a, b) == (
+                    nx.shortest_path_length(g, a, b) if want else -1
+                )
                 if overlay is not None:
                     assert overlay.connected(topo, a, b) == nx.has_path(residual, a, b)
 

@@ -97,7 +97,7 @@ def test_loss_drops_messages():
 
 def test_partition_drops_messages():
     sim = Simulator()
-    topo = DynamicTopology(Topology.complete(2).graph)
+    topo = DynamicTopology(Topology.complete(2))
     net = Network(sim, topo, rng=np.random.default_rng(0))
     inbox = []
     net.register(0, lambda m: None)

@@ -1,5 +1,7 @@
 """RunManifest / CounterfactualSpec: validation and bit-exact round-trips."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -145,6 +147,20 @@ def test_spec_validation():
                            drop_plan=True)
     with pytest.raises(ValueError, match="set_liveness_horizon"):
         CounterfactualSpec(liveness_horizon=5.0)
+
+
+@pytest.mark.parametrize("field", ["delta", "check_period", "liveness_horizon"])
+@pytest.mark.parametrize("value", ["x", True, float("nan"), float("inf"), [0.1]])
+def test_spec_decode_rejects_non_finite_numbers(field, value):
+    """A JSON spec decodes NaN, booleans, strings and lists without
+    complaint; each one is refused with ValueError, not a TypeError or
+    a silently accepted value."""
+    spec = {field: value, "set_liveness_horizon": field == "liveness_horizon"}
+    with pytest.raises(ValueError, match=field):
+        CounterfactualSpec.from_spec(spec)
+    text = json.dumps(spec)   # NaN and Infinity survive the JSON path too
+    with pytest.raises(ValueError, match=field):
+        CounterfactualSpec.from_json(text)
 
 
 def test_spec_identity():
