@@ -329,7 +329,8 @@ def _run_sweep_tasks(prog, args, tasks, *, out: str, noun: str, **header):
     :func:`~repro.sweep.write_sweep_jsonl`.
 
     Returns ``(rows, exit code)``: 0 every row computed, 1 failed rows
-    or a degraded run, 2 bad --timeout/--retries, 130 interrupted.
+    or a degraded run, 2 bad --timeout/--retries or a malformed
+    resume row, 130 interrupted.
     """
     import json as _json
     import os as _os
@@ -337,6 +338,7 @@ def _run_sweep_tasks(prog, args, tasks, *, out: str, noun: str, **header):
     from repro.obs import MetricsRegistry
     from repro.sweep import (
         SupervisePolicy,
+        SweepError,
         SweepRunner,
         partition_resumable,
         read_completed_rows,
@@ -355,8 +357,12 @@ def _run_sweep_tasks(prog, args, tasks, *, out: str, noun: str, **header):
     partial, quarantine = f"{out}.partial.jsonl", f"{out}.quarantine.jsonl"
     cached: list = []
     if args.resume:
-        completed = read_completed_rows(out)
-        completed.update(read_completed_rows(partial))
+        try:
+            completed = read_completed_rows(out)
+            completed.update(read_completed_rows(partial))
+        except SweepError as exc:
+            print(f"{prog}: {exc}", file=sys.stderr)
+            return [], 2
         tasks, cached = partition_resumable(tasks, completed)
         if cached:
             print(f"resume: {len(cached)} point(s) already in {out}, "

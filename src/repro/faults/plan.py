@@ -31,34 +31,57 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
+
+from repro.util.fields import (
+    Field, check_fields, is_bool, is_int, is_int_pair, is_list, is_prob, is_real, is_str,
+    list_of, one_of,
+)
 
 
 class FaultError(Exception):
     """Raised on malformed plans or inapplicable fault actions."""
 
 
-def is_finite_real(value: object) -> bool:
-    """True for a finite real number; ``bool``, NaN, ±inf, strings and
-    ``None`` are not (JSON decodes all of them without complaint)."""
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
+_PID: Field = (False, is_int, "an integer")
+_DRIFT: dict[str, Field] = {
+    "pid": _PID, "delta_ppm": (False, is_real, "a finite number"),
+}
+_LOSS: dict[str, Field] = {
+    **{name: (False, is_prob, "a probability in [0, 1]")
+       for name in ("p_gb", "p_bg", "p_good", "p_bad")},
+    "start_bad": (False, is_bool, "a boolean"),
+}
 
+#: Field checks of each action's ``params``; a key the table does not
+#: name is kept but never read.  A clearing action inherits its start's
+#: params.
+PARAMS: Mapping[str, Mapping[str, Field]] = {
+    "crash": {"pid": _PID, "mode": (
+        False, one_of(("stop", "recover")), "'stop' or 'recover'")},
+    "restart": {"pid": _PID},
+    "partition": {
+        "groups": (False, list_of(list_of(is_int)), "a list of integer lists"),
+        "cut_edges": (False, list_of(is_int_pair), "a list of [a, b] pairs"),
+    },
+    "heal": {},
+    "burst_loss": _LOSS,
+    "burst_loss_end": {},
+    "clock_drift": _DRIFT,
+    "clock_drift_end": _DRIFT,
+    "clock_freeze": {"pid": _PID},
+    "clock_unfreeze": {"pid": _PID},
+    "strobe_perturb": {
+        "pid": _PID,
+        "ticks": (False, is_int, "an integer"),
+        "clock": (False, one_of(("both", "vector", "scalar")),
+                  "'both', 'vector' or 'scalar'"),
+    },
+}
 
 #: Every action the injector understands.
-ACTIONS = frozenset({
-    "crash", "restart",
-    "partition", "heal",
-    "burst_loss", "burst_loss_end",
-    "clock_drift", "clock_drift_end",
-    "clock_freeze", "clock_unfreeze",
-    "strobe_perturb",
-})
+ACTIONS = frozenset(PARAMS)
 
 #: start-action → its clearing action (``duration`` expands via this).
 PAIRED: Mapping[str, str] = {
@@ -67,6 +90,18 @@ PAIRED: Mapping[str, str] = {
     "burst_loss": "burst_loss_end",
     "clock_drift": "clock_drift_end",
     "clock_freeze": "clock_unfreeze",
+}
+
+#: Field checks of a decoded fault event; the constructor checks the
+#: ranges and ``params`` (an object, see :data:`PARAMS`).
+_EVENT_FIELDS: dict[str, Field] = {
+    "time": (True, is_real, "a finite number"),
+    "action": (True, is_str, "a string"),
+    "duration": (False, is_real, "a finite number"),
+}
+_PLAN_FIELDS: dict[str, Field] = {
+    "name": (False, is_str, "a string"),
+    "events": (False, is_list, "a list"),
 }
 
 
@@ -95,21 +130,30 @@ class FaultEvent:
     duration: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.action, str) or self.action not in ACTIONS:
+        if self.action not in ACTIONS:
             raise FaultError(f"unknown fault action {self.action!r}")
-        if not is_finite_real(self.time) or self.time < 0:
+        if not 0 <= self.time < math.inf:
             raise FaultError(f"fault time must be a finite number >= 0, got {self.time!r}")
-        if not isinstance(self.params, Mapping):
-            raise FaultError(f"fault params must be a mapping, got {self.params!r}")
+        try:
+            check_fields(self.params, PARAMS[self.action])
+        except (KeyError, TypeError) as exc:
+            raise FaultError(f"{self.action} params: {exc}") from exc
+        if self.action == "partition" and self.params.get("groups") is None \
+                and self.params.get("cut_edges") is None:
+            raise FaultError("partition needs 'groups' or 'cut_edges'")
         if self.duration is not None:
             if self.action not in PAIRED:
                 raise FaultError(
                     f"action {self.action!r} takes no duration "
                     f"(only {sorted(PAIRED)} do)"
                 )
-            if not is_finite_real(self.duration) or self.duration <= 0:
+            if not 0 < self.duration < math.inf:
                 raise FaultError(
                     f"duration must be a finite positive number, got {self.duration!r}"
+                )
+            if not math.isfinite(self.time + self.duration):
+                raise FaultError(
+                    f"clear time {self.time!r} + {self.duration!r} is not finite"
                 )
         object.__setattr__(self, "time", float(self.time))
         object.__setattr__(self, "params", dict(self.params))
@@ -136,20 +180,16 @@ class FaultEvent:
 
     @staticmethod
     def from_spec(spec: Mapping[str, Any]) -> "FaultEvent":
-        if not isinstance(spec, Mapping):
-            raise FaultError(f"fault event must be an object, got {spec!r}")
-        known = {"time", "action", "params", "duration"}
-        extra = set(spec) - known
+        try:
+            check_fields(spec, _EVENT_FIELDS)
+        except KeyError as exc:
+            raise FaultError(f"fault event needs {exc}") from exc
+        except TypeError as exc:
+            raise FaultError(f"fault {exc}") from exc
+        extra = set(spec) - {"params", *_EVENT_FIELDS}
         if extra:
             raise FaultError(f"unknown fault-event keys {sorted(extra)}")
-        if "time" not in spec or "action" not in spec:
-            raise FaultError("fault event needs 'time' and 'action'")
-        return FaultEvent(
-            time=spec["time"],
-            action=spec["action"],
-            params=spec.get("params", {}),
-            duration=spec.get("duration"),
-        )
+        return FaultEvent(**spec)
 
 
 @dataclass(frozen=True)
@@ -256,18 +296,16 @@ class FaultPlan:
 
     @staticmethod
     def from_spec(spec: Mapping[str, Any]) -> "FaultPlan":
-        if not isinstance(spec, Mapping):
-            raise FaultError(f"fault plan must be an object, got {spec!r}")
-        known = {"name", "events"}
-        extra = set(spec) - known
+        try:
+            check_fields(spec, _PLAN_FIELDS)
+        except TypeError as exc:
+            raise FaultError(f"fault plan {exc}") from exc
+        extra = set(spec) - set(_PLAN_FIELDS)
         if extra:
             raise FaultError(f"unknown fault-plan keys {sorted(extra)}")
-        events = spec.get("events", ())
-        if not isinstance(events, (list, tuple)):
-            raise FaultError(f"fault-plan events must be a list, got {events!r}")
         return FaultPlan(
             name=spec.get("name", ""),
-            events=tuple(FaultEvent.from_spec(e) for e in events),
+            events=tuple(FaultEvent.from_spec(e) for e in spec.get("events") or ()),
         )
 
     def to_json(self) -> str:
@@ -286,6 +324,6 @@ __all__ = [
     "FaultEvent",
     "FaultWindow",
     "FaultPlan",
-    "is_finite_real",
+    "PARAMS",
     "window_at",
 ]

@@ -43,6 +43,7 @@ from repro.replay.engine import (
 )
 from repro.replay.manifest import RunManifest, code_digest
 from repro.util.atomicio import atomic_write_text
+from repro.util.fields import Field, check_fields, is_count, is_int, is_object, is_str
 
 #: Bump when the snapshot schema changes; old checkpoints are refused.
 SNAPSHOT_VERSION = 1
@@ -50,6 +51,17 @@ SNAPSHOT_VERSION = 1
 
 class CheckpointError(RuntimeError):
     """A checkpoint cannot be taken, loaded, or faithfully restored."""
+
+
+#: Field checks of a checkpoint file (past its kind).
+_FIELDS: dict[str, Field] = {
+    "version": (True, is_int, "an integer"),
+    "manifest": (True, is_object, "an object"),
+    "processed_events": (True, is_count, "a count"),
+    "state": (True, is_object, "an object"),
+    "digest": (True, is_str, "a string"),
+    "code_digest": (False, is_str, "a string"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +211,7 @@ class Checkpoint:
     processed_events: int
     state: dict[str, Any]
     digest: str
-    code_digest: str
+    code_digest: str = ""
 
     @classmethod
     def capture(cls, run: PartialRun) -> "Checkpoint":
@@ -247,16 +259,10 @@ class Checkpoint:
                 f"(this build writes {SNAPSHOT_VERSION})"
             )
         try:
-            ckpt = cls(
-                version=int(version),
-                manifest=dict(payload["manifest"]),
-                processed_events=int(payload["processed_events"]),
-                state=dict(payload["state"]),
-                digest=str(payload["digest"]),
-                code_digest=str(payload.get("code_digest", "")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            check_fields(payload, _FIELDS)
+        except (KeyError, TypeError) as exc:
             raise CheckpointError(f"{source}: malformed checkpoint: {exc}") from exc
+        ckpt = cls(**{k: v for k, v in payload.items() if k in _FIELDS and v is not None})
         if snapshot_digest(ckpt.state) != ckpt.digest:
             raise CheckpointError(
                 f"{source}: checkpoint digest does not match its state "
@@ -283,7 +289,7 @@ class Checkpoint:
         the recomputed state matches before handing it back."""
         try:
             manifest = RunManifest.from_spec(self.manifest)
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise CheckpointError(f"malformed embedded manifest: {exc}") from exc
         run = PartialRun(manifest)
         run.step_to(self.processed_events)

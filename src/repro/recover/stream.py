@@ -11,7 +11,6 @@ delivery, what an online detector hosted there would have been fed.
 from __future__ import annotations
 
 import json
-import operator
 from pathlib import Path
 from typing import Any
 
@@ -21,6 +20,7 @@ from repro.core.records import SensedEventRecord
 from repro.replay.engine import finalize_execution, prepare_execution
 from repro.replay.manifest import RunManifest
 from repro.util.atomicio import atomic_write_text
+from repro.util.fields import Field, check_fields, is_int, is_int_pair, is_list, is_real, is_str
 
 STREAM_FORMAT_VERSION = 1
 
@@ -39,11 +39,20 @@ def _decode_value(value: Any) -> Any:
     return value
 
 
-def _decode_scalar(stamp: Any) -> ScalarTimestamp:
-    """``[value, pid]`` with integral components (the check
-    :class:`VectorTimestamp` makes of a vector's)."""
-    value, pid = stamp
-    return ScalarTimestamp(operator.index(value), operator.index(pid))
+#: Field checks of a decoded record spec (``value`` is any JSON value;
+#: :class:`VectorTimestamp` checks a vector's components).
+_RECORD_FIELDS: dict[str, Field] = {
+    "t": (True, is_real, "a finite number"),
+    "pid": (True, is_int, "an integer"),
+    "seq": (True, is_int, "an integer"),
+    "var": (True, is_str, "a string"),
+    "true_time": (False, is_real, "a finite number"),
+    "lamport": (False, is_int_pair, "a [value, pid] pair"),
+    "vector": (False, is_list, "a list of integers"),
+    "strobe_scalar": (False, is_int_pair, "a [value, pid] pair"),
+    "strobe_vector": (False, is_list, "a list of integers"),
+    "physical": (False, is_real, "a finite number"),
+}
 
 
 def record_to_spec(record: SensedEventRecord, *, arrival: float) -> dict[str, Any]:
@@ -72,27 +81,31 @@ def record_to_spec(record: SensedEventRecord, *, arrival: float) -> dict[str, An
 
 
 def record_from_spec(spec: dict[str, Any]) -> tuple[float, SensedEventRecord]:
-    """Inverse of :func:`record_to_spec`: ``(arrival time, record)``."""
+    """Inverse of :func:`record_to_spec`: ``(arrival time, record)``.
+    Raises ``KeyError``/``TypeError`` for a spec that is not a record and
+    ``ValueError`` for a bad vector component."""
+    check_fields(spec, _RECORD_FIELDS)
     lamport = spec.get("lamport")
     physical = spec.get("physical")
     strobe_scalar = spec.get("strobe_scalar")
     vector = spec.get("vector")
     strobe_vector = spec.get("strobe_vector")
+    true_time = spec.get("true_time")
     record = SensedEventRecord(
-        pid=operator.index(spec["pid"]),
-        seq=operator.index(spec["seq"]),
-        var=str(spec["var"]),
+        pid=spec["pid"],
+        seq=spec["seq"],
+        var=spec["var"],
         value=_decode_value(spec["value"]),
-        lamport=None if lamport is None else _decode_scalar(lamport),
+        lamport=None if lamport is None else ScalarTimestamp(*lamport),
         vector=None if vector is None else VectorTimestamp(vector),
         strobe_scalar=(
-            None if strobe_scalar is None else _decode_scalar(strobe_scalar)
+            None if strobe_scalar is None else ScalarTimestamp(*strobe_scalar)
         ),
         strobe_vector=(
             None if strobe_vector is None else VectorTimestamp(strobe_vector)
         ),
         physical=None if physical is None else float(physical),
-        true_time=float(spec.get("true_time", 0.0)),
+        true_time=0.0 if true_time is None else float(true_time),
     )
     return float(spec["t"]), record
 

@@ -35,7 +35,6 @@ skips exactly ``ingested_records`` input lines on restart).
 from __future__ import annotations
 
 import json
-import operator
 import os
 from pathlib import Path
 from typing import Any, TextIO
@@ -46,6 +45,7 @@ from repro.recover.stream import record_from_spec
 from repro.replay.manifest import RunManifest
 from repro.sim.kernel import Simulator
 from repro.util.atomicio import atomic_write_text, durable_append_lines
+from repro.util.fields import Field, check_fields, is_bool, is_count, is_object, is_str
 
 #: 2: checkpoint.json's digest covers the O(pending) frontier snapshot
 #: and is verified at reopen.
@@ -58,6 +58,20 @@ SERVABLE_FAMILIES = ("vector_strobe", "scalar_strobe")
 
 class WalError(RuntimeError):
     """Serve directory is malformed, corrupt, or incompatible."""
+
+
+#: Field checks of serve.json (past its kind and version).
+_CONFIG_FIELDS: dict[str, Field] = {
+    "manifest": (True, is_object, "an object"),
+    "checkpoint_every": (True, is_count, "a count"),
+}
+#: Field checks of checkpoint.json.
+_CHECKPOINT_FIELDS: dict[str, Field] = {
+    "ingested": (True, is_count, "a count"),
+    "emitted": (True, is_count, "a count"),
+    "digest": (True, is_str, "a string"),
+    "finalized": (True, is_bool, "a boolean"),
+}
 
 
 def _detection_line(detection: Any, emit_time: float) -> str:
@@ -147,10 +161,11 @@ class WalServer:
                 f"{self.serve_path}: unsupported serve format {version!r}"
             )
         try:
+            check_fields(cfg, _CONFIG_FIELDS)
             self.manifest = RunManifest.from_spec(cfg["manifest"])
-            self.checkpoint_every = int(cfg["checkpoint_every"])
         except (KeyError, TypeError, ValueError) as exc:
             raise WalError(f"{self.serve_path}: malformed config: {exc}") from exc
+        self.checkpoint_every = cfg["checkpoint_every"]
 
     def _build_detector(self) -> None:
         from repro.detect.online import (
@@ -218,18 +233,14 @@ class WalServer:
             return {"ingested": 0, "emitted": 0, "digest": None, "finalized": False}
         try:
             ckpt = json.loads(self.checkpoint_path.read_text())
-            return {
-                "ingested": operator.index(ckpt["ingested"]),
-                "emitted": operator.index(ckpt["emitted"]),
-                "digest": str(ckpt["digest"]),
-                "finalized": ckpt["finalized"] is True,
-            }
+            check_fields(ckpt, _CHECKPOINT_FIELDS)
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             # checkpoint.json is atomically replaced, so corruption
             # cannot come from a crash — refuse to guess.
             raise WalError(
                 f"{self.checkpoint_path}: corrupt checkpoint: {exc!r}"
             ) from exc
+        return ckpt
 
     def _recover(self) -> None:
         ckpt = self._read_checkpoint()

@@ -27,16 +27,30 @@ that would have actuated differently still sees the recorded world.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.faults.plan import FaultPlan, is_finite_real
+from repro.faults.plan import FaultError, FaultPlan
 from repro.replay.engine import ReplayError
 from repro.replay.manifest import CLOCK_FAMILIES, RunManifest
+from repro.util.fields import Field, check_fields, is_bool, is_object, is_real, is_str
 
 #: Tolerance when matching sense times across runs (trace times are
 #: exact binary floats from one kernel, so this is belt and braces).
 _T_EPS = 1e-9
+
+
+#: Field checks of a decoded counterfactual spec (every field optional).
+_SPEC_FIELDS: dict[str, Field] = {
+    "clock_family": (False, is_str, "a string"),
+    "delta": (False, is_real, "a finite number"),
+    "check_period": (False, is_real, "a finite number"),
+    "plan": (False, is_object, "an object"),
+    "drop_plan": (False, is_bool, "a boolean"),
+    "liveness_horizon": (False, is_real, "a finite number"),
+    "set_liveness_horizon": (False, is_bool, "a boolean"),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,13 +77,10 @@ class CounterfactualSpec:
                 f"unknown clock family {self.clock_family!r} "
                 f"(have {', '.join(CLOCK_FAMILIES)})"
             )
-        for name in ("delta", "check_period", "liveness_horizon"):
-            value = getattr(self, name)
-            if value is not None and not is_finite_real(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.delta is not None and self.delta < 0:
+        if self.delta is not None and not 0 <= self.delta < math.inf:
             raise ValueError(f"delta must be non-negative, got {self.delta}")
-        if self.check_period is not None and self.check_period <= 0:
+        if self.check_period is not None \
+                and not 0 < self.check_period < math.inf:
             raise ValueError(
                 f"check_period must be positive, got {self.check_period}"
             )
@@ -125,16 +136,14 @@ class CounterfactualSpec:
 
     @staticmethod
     def from_spec(spec: Mapping[str, Any]) -> "CounterfactualSpec":
-        plan_spec = spec.get("plan")
-        return CounterfactualSpec(
-            clock_family=spec.get("clock_family"),
-            delta=spec.get("delta"),
-            check_period=spec.get("check_period"),
-            plan=FaultPlan.from_spec(plan_spec) if plan_spec else None,
-            drop_plan=bool(spec.get("drop_plan", False)),
-            liveness_horizon=spec.get("liveness_horizon"),
-            set_liveness_horizon=bool(spec.get("set_liveness_horizon", False)),
-        )
+        """The spec of a decoded object; ``ValueError`` if it is not one."""
+        try:
+            check_fields(spec, _SPEC_FIELDS)
+            plan = FaultPlan.from_spec(spec["plan"]) if spec.get("plan") else None
+        except (TypeError, FaultError) as exc:
+            raise ValueError(f"counterfactual {exc}") from exc
+        given = {k: v for k, v in spec.items() if k in _SPEC_FIELDS and v is not None}
+        return CounterfactualSpec(**{**given, "plan": plan})
 
     def to_json(self) -> str:
         return json.dumps(self.to_spec(), sort_keys=True, separators=(",", ":"))

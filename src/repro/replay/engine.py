@@ -173,7 +173,7 @@ class ReplayEngine:
             )
         try:
             return RunManifest.from_spec(spec)
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ReplayError(
                 f"{trace_path}: malformed replay manifest: {exc}"
             ) from exc

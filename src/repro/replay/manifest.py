@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultError, FaultPlan
+from repro.util.fields import Field, check_fields, is_int, is_object, is_real, is_str
 
 #: Detector families a manifest may name; see repro.replay.families.
 CLOCK_FAMILIES = (
@@ -38,6 +40,21 @@ CLOCK_FAMILIES = (
     "offline_scalar_strobe",
     "physical",
 )
+
+
+#: Field checks of a decoded manifest spec.
+_FIELDS: dict[str, Field] = {
+    "scenario": (True, is_str, "a string"),
+    "seed": (True, is_int, "an integer"),
+    "duration": (True, is_real, "a finite number"),
+    "delta": (True, is_real, "a finite number"),
+    "clock_family": (False, is_str, "a string"),
+    "check_period": (False, is_real, "a finite number"),
+    "capacity": (False, is_int, "an integer"),
+    "liveness_horizon": (False, is_real, "a finite number"),
+    "plan": (False, is_object, "an object"),
+    "code_digest": (False, is_str, "a string"),
+}
 
 
 def code_digest() -> str:
@@ -84,17 +101,18 @@ class RunManifest:
                 f"unknown clock family {self.clock_family!r} "
                 f"(have {', '.join(CLOCK_FAMILIES)})"
             )
-        if self.duration <= 0:
+        if not 0 < self.duration < math.inf:
             raise ValueError(f"duration must be positive, got {self.duration}")
-        if self.delta < 0:
+        if not 0 <= self.delta < math.inf:
             raise ValueError(f"delta must be non-negative, got {self.delta}")
-        if self.check_period <= 0:
+        if not 0 < self.check_period < math.inf:
             raise ValueError(
                 f"check_period must be positive, got {self.check_period}"
             )
         if self.capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {self.capacity}")
-        if self.liveness_horizon is not None and self.liveness_horizon <= 0:
+        if self.liveness_horizon is not None \
+                and not 0 < self.liveness_horizon < math.inf:
             raise ValueError(
                 f"liveness_horizon must be positive or None, "
                 f"got {self.liveness_horizon}"
@@ -120,22 +138,17 @@ class RunManifest:
 
     @staticmethod
     def from_spec(spec: Mapping[str, Any]) -> "RunManifest":
-        plan_spec = spec.get("plan")
-        return RunManifest(
-            scenario=spec["scenario"],
-            seed=int(spec["seed"]),
-            duration=float(spec["duration"]),
-            delta=float(spec["delta"]),
-            clock_family=spec.get("clock_family", "vector_strobe"),
-            check_period=float(spec.get("check_period", 0.1)),
-            capacity=int(spec.get("capacity", 65536)),
-            liveness_horizon=(
-                float(spec["liveness_horizon"])
-                if spec.get("liveness_horizon") is not None else None
-            ),
-            plan=FaultPlan.from_spec(plan_spec) if plan_spec else None,
-            code_digest=spec.get("code_digest"),
-        )
+        """The manifest of a decoded spec (a null optional field takes
+        its default); ``ValueError`` if the spec is not a manifest."""
+        try:
+            check_fields(spec, _FIELDS)
+            plan = FaultPlan.from_spec(spec["plan"]) if spec.get("plan") else None
+        except KeyError as exc:
+            raise ValueError(f"manifest needs {exc}") from exc
+        except (TypeError, FaultError) as exc:
+            raise ValueError(f"manifest {exc}") from exc
+        given = {k: v for k, v in spec.items() if k in _FIELDS and v is not None}
+        return RunManifest(**{**given, "plan": plan})
 
     def to_json(self) -> str:
         return json.dumps(self.to_spec(), sort_keys=True, separators=(",", ":"))

@@ -66,13 +66,21 @@ import numpy as np
 
 from repro.obs.registry import restore_snapshot
 from repro.sim.rng import substream_seed
-from repro.sweep.tasks import SweepTask, execute_task
+from repro.sweep.tasks import SweepError, SweepTask, execute_task
 from repro.util.atomicio import atomic_write_text, durable_append_lines
+from repro.util.fields import Field, check_fields, is_int, is_object, is_str
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.registry import MetricsRegistry
 
 FORMAT_VERSION = 1
+
+#: Field checks of a completed row's coordinates, read on resume.
+_ROW_FIELDS: dict[str, Field] = {
+    "ref": (True, is_str, "a string"),
+    "params": (True, is_object, "an object"),
+    "seed": (True, is_int, "an integer"),
+}
 
 
 @dataclass(frozen=True)
@@ -512,27 +520,30 @@ def read_completed_rows(path: str | Path) -> dict[str, dict[str, Any]]:
     Built for kill-and-resume: a truncated final line (the process died
     mid-write) is skipped, and rows that recorded an ``error`` are
     *not* treated as complete — a resumed run re-executes them.
-    Returns an empty dict when the file does not exist.
+    Returns an empty dict when the file does not exist; raises
+    :class:`SweepError` naming the file and line of a complete row
+    whose coordinates are malformed.
     """
     path = Path(path)
     if not path.exists():
         return {}
     out: dict[str, dict[str, Any]] = {}
-    for line in path.read_text().splitlines():
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
         try:
             row = json.loads(line)
         except json.JSONDecodeError:
             continue  # truncated tail from a killed run
-        if not isinstance(row, dict) or row.get("kind") != "row":
+        if not is_object(row) or row.get("kind") != "row":
             continue
         if "error" in row or "result" not in row:
             continue
-        digest = coordinate_digest(
-            row.get("ref", ""), row.get("params", {}), row.get("seed", 0)
-        )
-        out[digest] = row
+        try:
+            check_fields(row, _ROW_FIELDS)
+        except (KeyError, TypeError) as exc:
+            raise SweepError(f"{path}:{lineno}: malformed row: {exc}") from exc
+        out[coordinate_digest(row["ref"], row["params"], row["seed"])] = row
     return out
 
 

@@ -35,17 +35,9 @@ from collections import Counter
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.trace.recorder import (
-    KINDS,
-    FlightRecorder,
-    TraceEvent,
-    _check_fields,
-    _encode as _dumps,
-    _is_int,
-    _is_key,
-    _is_str,
-    _is_time,
-)
+from repro.trace.recorder import KINDS, FlightRecorder, TraceEvent
+from repro.trace.recorder import _encode as _dumps
+from repro.util.fields import check_fields, is_bool, is_int, is_int_pair, is_object, is_str, is_time
 
 #: Version 2 adds world-plane ``w`` lines, the ``truncated`` header
 #: flag, and the optional embedded replay ``manifest``.  Version-1
@@ -177,36 +169,36 @@ def _is_world_value(v: Any) -> bool:
 
 
 def _is_evicted(v: Any) -> bool:
-    return type(v) is dict and all(_is_int(n) for n in v.values())
+    return type(v) is dict and all(map(is_int, v.values()))
 
 
 _WORLD_FIELDS = {
-    "gseq": (True, _is_int, "an integer"),
-    "t": (True, _is_time, "a finite non-negative number"),
-    "obj": (True, _is_str, "a string"),
-    "attr": (True, _is_str, "a string"),
+    "gseq": (True, is_int, "an integer"),
+    "t": (True, is_time, "a finite non-negative number"),
+    "obj": (True, is_str, "a string"),
+    "attr": (True, is_str, "a string"),
     "value": (True, _is_world_value, "a JSON scalar or [\"repr\", text]"),
 }
 _DETECTION_FIELDS = {
-    "detector": (True, _is_str, "a string"),
-    "trigger": (True, _is_key, "a [pid, seq] pair"),
-    "var": (True, _is_str, "a string"),
-    "value": (True, _is_str, "a string"),
-    "label": (True, _is_str, "a string"),
-    "emit_time": (True, _is_time, "a finite non-negative number"),
-    "host": (True, _is_int, "an integer"),
+    "detector": (True, is_str, "a string"),
+    "trigger": (True, is_int_pair, "a [pid, seq] pair"),
+    "var": (True, is_str, "a string"),
+    "value": (True, is_str, "a string"),
+    "label": (True, is_str, "a string"),
+    "emit_time": (True, is_time, "a finite non-negative number"),
+    "host": (True, is_int, "an integer"),
 }
 _SUMMARY_FIELDS = {
-    **{name: (False, _is_int, "an integer") for name in (
+    **{name: (False, is_int, "an integer") for name in (
         "recorded", "retained", "detections", "world", "world_opaque")},
     "evicted": (False, _is_evicted, "an object of integers"),
 }
 _META_FIELDS = {
-    "capacity": (False, _is_int, "an integer"),
-    "truncated": (False, lambda v: type(v) is bool, "a boolean"),
-    "duration": (False, _is_time, "a finite non-negative number"),
-    "plan": (False, lambda v: type(v) is dict, "an object"),
-    "manifest": (False, lambda v: type(v) is dict, "an object"),
+    "capacity": (False, is_int, "an integer"),
+    "truncated": (False, is_bool, "a boolean"),
+    "duration": (False, is_time, "a finite non-negative number"),
+    "plan": (False, is_object, "an object"),
+    "manifest": (False, is_object, "an object"),
 }
 #: Line kind -> (name in messages, field checks), for non-event lines.
 _LINE_FIELDS = {
@@ -219,7 +211,7 @@ _LINE_FIELDS = {
 def _check_meta(meta: Mapping[str, Any]) -> None:
     """The header fields the readers use, and an embedded fault plan
     that builds and whose windows lie on the sim-time axis."""
-    _check_fields(meta, _META_FIELDS)
+    check_fields(meta, _META_FIELDS)
     if meta.get("plan"):
         from repro.faults.plan import FaultError, FaultPlan
 
@@ -228,8 +220,8 @@ def _check_meta(meta: Mapping[str, Any]) -> None:
         except FaultError as exc:
             raise ValueError(f"bad fault plan: {exc}") from exc
         for w in windows:
-            if not (_is_time(w.start)
-                    and (w.clear == float("inf") or _is_time(w.clear))):
+            if not (is_time(w.start)
+                    and (w.clear == float("inf") or is_time(w.clear))):
                 raise TypeError(f"fault window {w.action!r} has a bad time")
 
 
@@ -289,15 +281,7 @@ def read_trace(path: "str | Path") -> Trace:
     summary: dict[str, Any] = {}
     for lineno, row in rows[1:]:
         kind = row.get("kind")
-        if kind == "w":
-            missing = {"t", "obj", "attr", "value", "gseq"} - row.keys()
-            if missing:
-                raise TraceFormatError(
-                    path,
-                    f"world line is missing {sorted(missing)}",
-                    lineno=lineno,
-                )
-        elif kind not in KINDS and kind not in ("detection", "summary"):
+        if kind not in KINDS and kind not in ("w", "detection", "summary"):
             raise TraceFormatError(
                 path, f"unknown trace line kind {kind!r}", lineno=lineno
             )
@@ -307,8 +291,13 @@ def read_trace(path: "str | Path") -> Trace:
                 events.append(TraceEvent.from_json(row))
                 continue
             body = {k: v for k, v in row.items() if k != "kind"}
-            _check_fields(body, fields)
-        except (KeyError, TypeError) as exc:
+            check_fields(body, fields)
+        except KeyError as exc:
+            raise TraceFormatError(
+                path, f"malformed {kind!r} {name} line is missing {exc}",
+                lineno=lineno,
+            ) from exc
+        except TypeError as exc:
             raise TraceFormatError(
                 path, f"malformed {kind!r} {name} line: {exc}", lineno=lineno,
             ) from exc

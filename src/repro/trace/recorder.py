@@ -43,10 +43,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from collections import deque
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -54,6 +53,9 @@ from repro.clocks.scalar import ScalarTimestamp
 from repro.clocks.vector import VectorTimestamp
 from repro.core.events import Event, EventKind
 from repro.core.records import SensedEventRecord
+from repro.util.fields import (
+    Field, check_fields, is_int, is_int_pair, is_object, is_str, is_time, one_of,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.detect.base import Detection
@@ -192,64 +194,21 @@ def _stamps_ref(stamps: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
-def _is_int(v: Any) -> bool:
-    """A JSON integer (``bool`` excluded)."""
-    return type(v) is int
-
-
-def _is_str(v: Any) -> bool:
-    return type(v) is str
-
-
-def _is_time(v: Any) -> bool:
-    """A sim time read from JSON: a non-negative number whose
-    microsecond count (the Perfetto ``ts``) is finite."""
-    if type(v) not in (int, float):
-        return False
-    try:
-        return v >= 0 and math.isfinite(float(v) * 1e6)
-    except OverflowError:
-        return False
-
-
-def _is_key(v: Any) -> bool:
-    return type(v) is list and len(v) == 2 and all(map(_is_int, v))
-
-
-def _check_fields(
-    row: Mapping[str, Any],
-    fields: Mapping[str, tuple[bool, Callable[[Any], bool], str]],
-) -> None:
-    """Check a decoded line against ``fields`` (name -> required, test,
-    expectation): ``KeyError`` for a missing required field,
-    ``TypeError`` for a field that fails its test.  An optional field
-    may be absent or null."""
-    for name, (required, ok, what) in fields.items():
-        value = row.get(name)
-        if value is None and not required:
-            continue
-        if name not in row:
-            raise KeyError(name)
-        if not ok(value):
-            raise TypeError(f"{name!r} must be {what}, got {value!r:.40}")
-
-
-#: Field checks of an event line, for :func:`_check_fields`.
-_EVENT_FIELDS: dict[str, tuple[bool, Callable[[Any], bool], str]] = {
-    "pid": (True, _is_int, "an integer"),
-    "gseq": (True, _is_int, "an integer"),
-    "kind": (True, lambda v: type(v) is str and v in KINDS, "an event kind"),
-    "t": (True, _is_time, "a finite non-negative number"),
-    "digest": (True, _is_str, "a string"),
-    "stamps": (False, lambda v: type(v) is dict, "an object"),
-    "key": (False, _is_key, "a [pid, seq] pair"),
-    "mid": (False, _is_int, "an integer"),
-    "src": (False, _is_int, "an integer"),
-    "dst": (False, _is_int, "an integer"),
-    "msg_kind": (False, _is_str, "a string"),
-    "size": (False, _is_int, "an integer"),
-    "drop": (False, lambda v: type(v) is str and v in DROP_REASONS,
-             "a drop reason"),
+#: Field checks of an event line, for :func:`check_fields`.
+_EVENT_FIELDS: dict[str, Field] = {
+    "pid": (True, is_int, "an integer"),
+    "gseq": (True, is_int, "an integer"),
+    "kind": (True, one_of(KINDS), "an event kind"),
+    "t": (True, is_time, "a finite non-negative number"),
+    "digest": (True, is_str, "a string"),
+    "stamps": (False, is_object, "an object"),
+    "key": (False, is_int_pair, "a [pid, seq] pair"),
+    "mid": (False, is_int, "an integer"),
+    "src": (False, is_int, "an integer"),
+    "dst": (False, is_int, "an integer"),
+    "msg_kind": (False, is_str, "a string"),
+    "size": (False, is_int, "an integer"),
+    "drop": (False, one_of(DROP_REASONS), "a drop reason"),
 }
 
 
@@ -306,7 +265,7 @@ class TraceEvent(NamedTuple):
         """The entry of one decoded event line.  Raises ``KeyError`` for
         a missing required field and ``TypeError`` for a field of the
         wrong type, so a malformed line never loads."""
-        _check_fields(d, _EVENT_FIELDS)
+        check_fields(d, _EVENT_FIELDS)
         key = d.get("key")
         return TraceEvent(
             pid=d["pid"], gseq=d["gseq"], kind=d["kind"], t=d["t"],

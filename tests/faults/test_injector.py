@@ -83,10 +83,8 @@ def test_partition_and_heal():
 
 
 def test_partition_needs_groups_or_edges():
-    sys_ = make_system()
-    FaultInjector(sys_, plan_of(FaultEvent(1.0, "partition"))).arm()
-    with pytest.raises(FaultError):
-        sys_.run(until=2.0)
+    with pytest.raises(FaultError, match="groups"):
+        FaultEvent(1.0, "partition")
 
 
 def test_burst_loss_window_drops_and_clears():
@@ -210,12 +208,8 @@ def test_strobe_perturb_single_clock_and_validation():
     assert sys_.processes[0].strobe_scalar.read().value == s + 2
     assert sys_.processes[0].strobe_vector.read().as_tuple()[0] == v
 
-    bad = make_system()
-    FaultInjector(bad, plan_of(
-        FaultEvent(1.0, "strobe_perturb", {"pid": 0, "clock": "sundial"}),
-    )).arm()
-    with pytest.raises(FaultError):
-        bad.run(until=2.0)
+    with pytest.raises(FaultError, match="clock"):
+        FaultEvent(1.0, "strobe_perturb", {"pid": 0, "clock": "sundial"})
 
 
 def test_strobe_perturb_forward_only():

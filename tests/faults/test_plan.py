@@ -178,8 +178,33 @@ def test_cli_rejects_bad_plan_time_in_one_line(command, time, tmp_path, capsys):
         argv += ["--out", str(tmp_path / "x.trace")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "fault time" in err, err
+    assert err.count("\n") == 1 and "fault 'time'" in err, err
     assert not (tmp_path / "x.trace").exists()
+
+
+@pytest.mark.parametrize("event, message", [
+    ({"action": "strobe_perturb", "params": {"pid": "zz"}}, "'pid'"),
+    ({"action": "strobe_perturb", "params": {"pid": 0, "clock": "neither"}}, "'clock'"),
+    ({"action": "partition", "params": {"groups": [[0], ["a"]]}}, "'groups'"),
+    ({"action": "partition", "params": {}}, "groups"),
+    ({"action": "burst_loss", "params": {"p_bad": 1.5}}, "'p_bad'"),
+    ({"action": "clock_drift", "params": {"pid": 0, "delta_ppm": "x"}}, "'delta_ppm'"),
+    ({"action": "crash", "params": {"pid": 1}, "time": 1e308, "duration": 1e308},
+     "clear time"),
+])
+def test_trace_record_checks_the_plan_at_decode(event, message, tmp_path, capsys):
+    """Each of these used to pass decode and fail when the fault fired,
+    with a traceback from inside the simulation."""
+    from repro.cli import main
+
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"name": "p", "events": [{"time": 1.0, **event}]}))
+    out = tmp_path / "x.trace"
+    assert main(["trace", "record", "hall", "--duration", "5", "--plan", str(plan),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err, err
+    assert not out.exists()
 
 
 _paired = sorted(PAIRED)
@@ -192,12 +217,15 @@ def _events(draw):
     duration = None
     if action in PAIRED and draw(st.booleans()):
         duration = draw(st.floats(0.5, 50.0, allow_nan=False))
-    params = draw(st.dictionaries(
-        st.sampled_from(["pid", "ticks", "p_bad", "mode"]),
-        st.one_of(st.integers(0, 7), st.floats(0.0, 1.0, allow_nan=False),
-                  st.text(st.characters(codec="ascii"), max_size=5)),
-        max_size=3,
-    ))
+    params = draw(st.fixed_dictionaries({}, optional={
+        "pid": st.integers(0, 7),
+        "ticks": st.integers(1, 5),
+        "p_bad": st.floats(0.0, 1.0, allow_nan=False),
+        "mode": st.sampled_from(["stop", "recover"]),
+        "note": st.text(st.characters(codec="ascii"), max_size=5),
+    }))
+    if action == "partition":
+        params["groups"] = draw(st.lists(st.lists(st.integers(0, 7)), max_size=3))
     time = draw(st.floats(0.0, 1000.0, allow_nan=False))
     return FaultEvent(time, action, params, duration=duration)
 

@@ -96,6 +96,21 @@ def test_wrong_version_is_refused():
         Checkpoint.from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("processed_events", 3.7), ("processed_events", -1), ("version", True),
+    ("manifest", None), ("code_digest", 5),
+])
+def test_malformed_field_is_refused(field, value):
+    """A fractional event count used to be truncated, and so resumed at
+    another event than the one the file names."""
+    run = PartialRun(MANIFEST)
+    run.step_to(25)
+    payload = json.loads(Checkpoint.capture(run).to_json())
+    payload[field] = value
+    with pytest.raises(CheckpointError, match=f"malformed checkpoint: '{field}'"):
+        Checkpoint.from_json(json.dumps(payload))
+
+
 def test_not_a_checkpoint_file(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_text("{\"kind\": \"something-else\"}\n")

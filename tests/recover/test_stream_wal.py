@@ -238,7 +238,10 @@ def test_corrupt_checkpoint_is_refused(tmp_path, stream):
     lambda c: {k: v for k, v in c.items() if k != "digest"},
     lambda c: {**c, "ingested": "48"},
     lambda c: [c],
-], ids=["no-digest", "str-ingested", "not-an-object"])
+    lambda c: {**c, "finalized": "yes"},
+    lambda c: {**c, "ingested": -3},
+], ids=["no-digest", "str-ingested", "not-an-object", "str-finalized",
+        "negative-ingested"])
 def test_malformed_checkpoint_is_refused(tmp_path, stream, edit):
     directory = tmp_path / "malformed"
     _serve_all(directory, stream, checkpoint_every=4)

@@ -163,6 +163,24 @@ def test_spec_decode_rejects_non_finite_numbers(field, value):
         CounterfactualSpec.from_json(text)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("delta", float("nan")), ("duration", float("inf")), ("check_period", True),
+    ("liveness_horizon", float("-inf")), ("delta", "0.1"), ("seed", 3.9),
+    ("seed", True), ("capacity", 64.0), ("scenario", 7), ("seed", None),
+])
+def test_manifest_decode_is_type_exact(field, value):
+    spec = RunManifest("hall", 3, duration=10.0, delta=0.1).to_spec()
+    with pytest.raises(ValueError, match=field):
+        RunManifest.from_spec({**spec, field: value})
+
+
+@pytest.mark.parametrize("field", ["drop_plan", "set_liveness_horizon"])
+@pytest.mark.parametrize("value", ["no", "false", 0, 1])
+def test_spec_decode_takes_json_booleans_only(field, value):
+    with pytest.raises(ValueError, match=field):
+        CounterfactualSpec.from_spec({field: value})
+
+
 def test_spec_identity():
     assert CounterfactualSpec().is_identity()
     assert not CounterfactualSpec(clock_family="physical").is_identity()

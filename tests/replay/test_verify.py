@@ -156,3 +156,23 @@ def test_unknown_profile_is_a_replay_error():
     forged = manifest.with_(scenario="atlantis")
     with pytest.raises(ReplayError, match="atlantis"):
         ReplayEngine().execute(forged)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("delta", float("nan")), ("seed", 3.9),
+])
+def test_cli_verify_refuses_a_doctored_manifest_in_one_line(
+    office_trace, tmp_path, capsys, field, value
+):
+    """A NaN Δ used to die in numpy and a float seed to replay another
+    seed; both are refused at decode with exit 2."""
+    from repro.cli import main
+
+    lines = office_trace.read_text().splitlines()
+    meta = json.loads(lines[0])
+    meta["manifest"][field] = value
+    doctored = tmp_path / "doctored.trace"
+    doctored.write_text("\n".join([json.dumps(meta, sort_keys=True), *lines[1:]]) + "\n")
+    assert main(["replay", "verify", str(doctored)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and repr(field) in err, err

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.sweep import (
+    SweepError,
     SweepTask,
     coordinate_digest,
     partition_resumable,
@@ -81,6 +82,20 @@ def test_truncated_tail_line_is_skipped(tmp_path):
     path.write_text(good + "\n" + cut)
     completed = read_completed_rows(path)
     assert [r["index"] for r in completed.values()] == [0]
+
+
+@pytest.mark.parametrize("field, value", [("seed", "x"), ("params", [1]), ("ref", None)])
+def test_malformed_row_is_refused_naming_file_and_line(tmp_path, capsys, field, value):
+    path = tmp_path / "s.jsonl"
+    path.write_text(json.dumps({"kind": "meta"}) + "\n"
+                    + json.dumps({**_row(0), field: value}) + "\n")
+    with pytest.raises(SweepError, match=f"s.jsonl:2: .*'{field}'"):
+        read_completed_rows(path)
+    capsys.readouterr()
+    assert main(["sweep", "detector_throughput", "--reps", "1", "--workers", "1",
+                 "--out", str(path), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "s.jsonl:2:" in err, err
 
 
 # ---------------------------------------------------------------------------
